@@ -14,7 +14,7 @@ Most users need only the re-exports below::
     pif = SnapPif.for_network(net)
     monitor = PifCycleMonitor(pif, net)
     sim = Simulator(pif, net, monitors=[monitor])
-    sim.run(until=lambda _c: len(monitor.completed_cycles) >= 1)
+    sim.run(until=lambda _c: monitor.completed_count >= 1)
     print(monitor.completed_cycles[0].rounds, "rounds for the first cycle")
 """
 

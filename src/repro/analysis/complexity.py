@@ -90,7 +90,7 @@ def collect_cycle_stats(
         )
         daemon_name = sim.daemon.name
         sim.run(
-            until=lambda _c: len(monitor.completed_cycles) >= 1,
+            until=lambda _c: monitor.completed_count >= 1,
             max_steps=max_steps,
         )
         if not monitor.completed_cycles:

@@ -85,12 +85,12 @@ def measure_cycles(
     monitor = PifCycleMonitor(protocol, network)
     sim = Simulator(protocol, network, daemon, seed=seed, monitors=[monitor])
     result = sim.run(
-        until=lambda _c: len(monitor.completed_cycles) >= cycles,
+        until=lambda _c: monitor.completed_count >= cycles,
         max_steps=max_steps,
     )
-    if len(monitor.completed_cycles) < cycles:
+    if monitor.completed_count < cycles:
         raise SimulationLimitError(
-            f"only {len(monitor.completed_cycles)}/{cycles} cycles completed "
+            f"only {monitor.completed_count}/{cycles} cycles completed "
             f"within {result.steps} steps on {network.name}"
         )
     done = monitor.completed_cycles[:cycles]

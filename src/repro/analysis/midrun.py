@@ -83,14 +83,14 @@ def run_with_midrun_faults(
         done = 0
         while done < target_cycles:
             result = sim.run(
-                until=lambda _c: len(monitor.completed_cycles) > done,
+                until=lambda _c: monitor.completed_count > done,
                 max_steps=max_steps,
             )
             if not result.satisfied:
                 raise ReproError(
                     f"wave did not complete within {result.steps} steps"
                 )
-            done = len(monitor.completed_cycles)
+            done = monitor.completed_count
         completed += done
         ok += sum(1 for c in monitor.completed_cycles if c.ok)
 

@@ -110,7 +110,7 @@ class BroadcastService:
     @property
     def waves_completed(self) -> int:
         """Number of completed PIF cycles so far."""
-        return len(self.monitor.completed_cycles)
+        return self.monitor.completed_count
 
     def broadcast(self, value: object, *, max_steps: int = 1_000_000) -> WaveOutcome:
         """Run one full PIF cycle carrying ``value``; return delivery evidence."""

@@ -283,7 +283,7 @@ def run_chaos(
             break
 
     run.steps = sim.steps
-    run.cycles_completed = len(monitor.completed_cycles)
+    run.cycles_completed = monitor.completed_count
     cell_span.set("violation", run.violation)
     cell_span.__exit__(None, None, None)
     if _telemetry.enabled:

@@ -345,7 +345,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         protocol, net, daemon, seed=args.seed, monitors=[monitor, timeline]
     )
     sim.run(
-        until=lambda _c: len(monitor.completed_cycles) >= args.cycles,
+        until=lambda _c: monitor.completed_count >= args.cycles,
         max_steps=2_000_000,
     )
     print(f"{net.name}: N={net.n}, diameter={net.diameter()}")

@@ -10,16 +10,19 @@ cost the columnar engine removes.
 Bidirectional conversion keeps the object-level API alive: monitors,
 traces, model checkers and the chaos replay oracle all receive ordinary
 :class:`Configuration` objects materialized on demand.  Materialization
-caches aggressively — per-node decoded states are invalidated only when
-that node is written, and the assembled ``Configuration`` object is
-reused until any write happens — so a no-op step returns the *same*
-configuration object, preserving the identity guarantee the incremental
-engine's dirty-set filtering established.
+is incremental: every write records the written nodes as *stale*, and
+the next :meth:`ColumnBlock.materialize` decodes only those — one
+gather per field over the stale index, rows decoded through the
+schema's memo — and patches the previous per-node state list.
+Unwritten nodes keep their exact state objects, and the assembled
+``Configuration`` is reused until any write happens, so a no-op step
+returns the *same* configuration object, preserving the identity
+guarantee the incremental engine's dirty-set filtering established.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.columnar.backend import make_column
 from repro.columnar.schema import ColumnSchema
@@ -32,12 +35,24 @@ class ColumnBlock:
     """Flat per-variable columns for one configuration.
 
     ``columns`` maps field name → backing array (``array.array`` or
-    ndarray, per backend).  Kernels read and write the arrays directly;
-    all writes must go through :meth:`write_row` (or be followed by
-    :meth:`invalidate`) so the materialization cache stays honest.
+    ndarray, per backend).  Kernels read the arrays directly; all
+    writes must go through :meth:`write_row` / :meth:`write_columns`
+    so materialization stays honest.
     """
 
-    __slots__ = ("schema", "backend", "n", "columns", "_states", "_config")
+    __slots__ = (
+        "schema",
+        "backend",
+        "n",
+        "columns",
+        "_cols",
+        "_states",
+        "_config",
+        "_stale",
+        "_stale_arrays",
+        "_stale_count",
+        "_all_stale",
+    )
 
     def __init__(
         self, schema: ColumnSchema, backend: str, configuration: Configuration
@@ -52,48 +67,104 @@ class ColumnBlock:
             )
             for i, f in enumerate(schema.fields)
         }
-        # Per-node decoded state cache, seeded with the exact objects of
-        # the source configuration (no decode needed until a write).
-        self._states: list[NodeState | None] = list(configuration.states)
+        #: The columns in schema field order.
+        self._cols = tuple(self.columns[name] for name in schema.names)
+        # Per-node decoded states, seeded with the exact objects of the
+        # source configuration (no decode needed until a write).
+        self._states: list[NodeState] = list(configuration.states)
         self._config: Configuration | None = configuration
+        self._clear_stale()
 
     # ------------------------------------------------------------------
-    # Row access
+    # Stale-node bookkeeping
+    # ------------------------------------------------------------------
+    def _clear_stale(self) -> None:
+        #: Nodes written one at a time, and index arrays written whole.
+        #: Duplicates are harmless (a re-decode is idempotent); once the
+        #: recorded count exceeds ``n`` the lists collapse into
+        #: ``_all_stale`` so their memory stays O(n) even when nothing
+        #: materializes (the object-statement kernels never do).
+        self._stale: list[int] = []
+        self._stale_arrays: list = []
+        self._stale_count = 0
+        self._all_stale = False
+
+    def _note_stale(self, count: int) -> None:
+        self._config = None
+        self._stale_count += count
+        if self._stale_count > self.n and not self._all_stale:
+            self._all_stale = True
+            self._stale = []
+            self._stale_arrays = []
+
+    # ------------------------------------------------------------------
+    # Row and column writes
     # ------------------------------------------------------------------
     def read_row(self, p: int) -> tuple[int, ...]:
         """Node ``p``'s raw column values, in schema field order."""
-        return tuple(int(self.columns[name][p]) for name in self.schema.names)
+        return tuple(int(col[p]) for col in self._cols)
 
     def write_row(self, p: int, row: Sequence[int]) -> None:
-        """Overwrite node ``p``'s columns and invalidate its cache entry."""
-        for name, value in zip(self.schema.names, row):
-            self.columns[name][p] = value
-        self._states[p] = None
-        self._config = None
+        """Overwrite node ``p``'s columns and mark it stale."""
+        for col, value in zip(self._cols, row):
+            col[p] = value
+        if not self._all_stale:
+            self._stale.append(p)
+        self._note_stale(1)
 
-    def invalidate(self, nodes: Iterable[int] | None = None) -> None:
-        """Drop cached decodes after direct column writes.
+    def write_columns(self, idx, values: Sequence[tuple[str, object]]) -> None:
+        """Whole-column writes: ``columns[name][idx] = vals`` per field.
 
-        ``None`` invalidates every node (full overwrite).
+        ``idx`` is an index array (ndarray on the numpy backend, any int
+        sequence on the pure one) and ``values`` pairs each written
+        field with one value per index.  Fields not listed keep their
+        values.  An empty ``idx`` writes nothing and invalidates
+        nothing.
         """
-        if nodes is None:
-            self._states = [None] * self.n
+        size = len(idx)
+        if not size:
+            return
+        columns = self.columns
+        if self.backend == "numpy":
+            for name, vals in values:
+                columns[name][idx] = vals
         else:
-            for p in nodes:
-                self._states[p] = None
-        self._config = None
+            for name, vals in values:
+                col = columns[name]
+                for p, v in zip(idx, vals):
+                    col[p] = v
+        if not self._all_stale:
+            self._stale_arrays.append(idx)
+        self._note_stale(size)
+
+    def _refresh(self) -> None:
+        """Decode every stale node and patch the per-node state list."""
+        if self._all_stale:
+            idx = range(self.n)
+        else:
+            numpy = self.backend == "numpy"
+            idx = list(self._stale)
+            for arr in self._stale_arrays:
+                idx.extend(arr.tolist() if numpy else arr)
+        self._clear_stale()
+        if not idx:
+            return
+        # A handful of nodes read faster one element at a time than
+        # through a fancy-index gather.
+        if self.backend == "numpy" and len(idx) > 8:
+            import numpy as np
+
+            at = np.asarray(idx, dtype=np.int64)
+            gathered = [col[at].tolist() for col in self._cols]
+        else:
+            gathered = [[int(col[p]) for p in idx] for col in self._cols]
+        states = self._states
+        for p, state in zip(idx, self.schema.decode_rows(zip(*gathered))):
+            states[p] = state
 
     # ------------------------------------------------------------------
     # Object-level conversion
     # ------------------------------------------------------------------
-    def state_of(self, p: int) -> NodeState:
-        """Decode node ``p``'s state (cached until the node is written)."""
-        state = self._states[p]
-        if state is None:
-            state = self.schema.decode_row(self.read_row(p))
-            self._states[p] = state
-        return state
-
     def materialize(self) -> Configuration:
         """The block as an object :class:`Configuration` (cached).
 
@@ -104,10 +175,8 @@ class ColumnBlock:
         """
         config = self._config
         if config is None:
-            state_of = self.state_of
-            config = Configuration(
-                tuple(state_of(p) for p in range(self.n))
-            )
+            self._refresh()
+            config = Configuration(tuple(self._states))
             self._config = config
         return config
 
@@ -118,11 +187,10 @@ class ColumnBlock:
                 f"configuration has {len(configuration)} states for an "
                 f"{self.n}-node block"
             )
-        schema = self.schema
-        for i, f in enumerate(schema.fields):
-            column = self.columns[f.name]
+        for f, column in zip(self.schema.fields, self._cols):
             encode = f.encode
             for p, state in enumerate(configuration.states):
                 column[p] = encode(getattr(state, f.name))
         self._states = list(configuration.states)
         self._config = configuration
+        self._clear_stale()

@@ -29,10 +29,17 @@ aliasing the next segment's result (``np.ufunc.reduceat`` gives an
 empty segment the *single element* at its offset, and clamping offsets
 corrupts the preceding segment).
 
-Statements always execute scalarly: selections are far smaller than
-mask regions, and all statement reads happen against the pre-step
-columns before any write lands — the simultaneous-write semantics of
-the model.  Specs with ``object_statements=True`` (impure statements,
+A step is two phases.  Phase 1 (:meth:`CompiledSpecKernel.pending_updates`)
+evaluates every statement against the pre-step columns and writes
+nothing — the simultaneous-write semantics of the model.  On the numpy
+backend a group of ≥ :data:`VECTOR_MIN_NODES` nodes running the same
+action, and any non-bulk node with that many neighbors (a star's root),
+is interpreted over arrays and yields ``(changed index array,
+[(field, values)])``; the rest run the scalar closures and yield rows.
+Phase 2 (:meth:`CompiledSpecKernel.write_pending`) lands each vector
+group with one ``col[idx] = vals`` per field.  Mask repair then gathers
+``dirty ∪ N(dirty)`` from the CSR index and re-evaluates it the same
+two ways.  Specs with ``object_statements=True`` (impure statements,
 e.g. payload envelopes) run compiled guards but delegate statements to
 the protocol's object :class:`~repro.runtime.protocol.Action` path and
 opt out of successor lockstep validation (``validates_successor``).
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from repro import telemetry as _telemetry
 from repro.columnar.backend import make_column
@@ -251,6 +258,19 @@ class CompiledSpecKernel:
         self._nonbulk = [
             p for p in range(self.n) if role_keys[p] != spec.bulk_role
         ]
+        #: Whether the numpy interpreters may run at all.
+        self._vector = backend == "numpy" and self.n > 1
+        #: Non-bulk nodes whose folds are wide enough to evaluate as
+        #: arrays even alone (a star's root folds over every leaf).
+        self._wide = (
+            frozenset(
+                p
+                for p in self._nonbulk
+                if self.csr.degree(p) >= VECTOR_MIN_NODES
+            )
+            if self._vector
+            else frozenset()
+        )
         representatives: dict[str, int] = {}
         for p, role in enumerate(role_keys):
             representatives.setdefault(role, p)
@@ -269,6 +289,10 @@ class CompiledSpecKernel:
         self._field_index = field_index
         self._guards: dict[str, tuple[Callable, ...]] = {}
         self._dispatch: dict[str, dict[str, tuple[int, object]]] = {}
+        self._aspecs = {
+            role: {a.name: a for a in program}
+            for role, program in programs.items()
+        }
         for role, program in programs.items():
             guard_fns = []
             dispatch: dict[str, tuple[int, object]] = {}
@@ -299,10 +323,20 @@ class CompiledSpecKernel:
             self._guards[role] = tuple(guard_fns)
             self._dispatch[role] = dispatch
 
-        self._mask_actions: dict[tuple[int, int], tuple[Action, ...]] = {}
+        #: ``node << _mask_width | mask`` -> that node's enabled actions.
+        self._mask_actions: dict[int, list[Action]] = {}
+        self._mask_width = max(len(program) for program in programs.values())
         self.block: ColumnBlock | None = None
         self.cols: dict[str, object] = {}
-        self._masks: list[int] = [0] * self.n
+        # Guard masks: an int64 array on the numpy backend (the enabled
+        # set is its nonzero index), a list plus an explicit enabled set
+        # on the pure one.
+        if backend == "numpy":
+            import numpy as np
+
+            self._masks = np.zeros(self.n, dtype=np.int64)
+        else:
+            self._masks = [0] * self.n
         self._enabled: set[int] = set()
         # Object-statement side-car: the authoritative state objects
         # (columns carry only the pure core the guards read).
@@ -340,87 +374,122 @@ class CompiledSpecKernel:
         Byte-identical (same keys, same order, same ``Action`` objects)
         to :meth:`Protocol.enabled_map` on the materialized
         configuration — the property the lockstep validator asserts.
+        A node's list is memoized per mask and shared between steps,
+        as the incremental engine shares unchanged entries; callers
+        must not mutate it (``Simulator.enabled()`` hands out copies).
         """
         masks = self._masks
+        width = self._mask_width
+        if self.backend == "numpy":
+            import numpy as np
+
+            on = np.flatnonzero(masks)
+            nodes = on.tolist()
+            keys = ((on << width) | masks[on]).tolist()
+        else:
+            nodes = sorted(self._enabled)
+            keys = [p << width | masks[p] for p in nodes]
         memo = self._mask_actions
-        protocol = self.protocol
-        network = self.network
-        out: dict[int, list[Action]] = {}
-        for p in sorted(self._enabled):
-            mask = masks[p]
-            key = (p, mask)
-            actions = memo.get(key)
-            if actions is None:
-                program = protocol.node_actions(p, network)
-                actions = tuple(
-                    a for i, a in enumerate(program) if mask >> i & 1
-                )
-                memo[key] = actions
-            out[p] = list(actions)
-        return out
+        found = list(map(memo.get, keys))
+        if None in found:
+            protocol = self.protocol
+            network = self.network
+            low = (1 << width) - 1
+            for i, key in enumerate(keys):
+                if found[i] is None:
+                    mask = key & low
+                    program = protocol.node_actions(key >> width, network)
+                    found[i] = memo[key] = [
+                        a
+                        for bit, a in enumerate(program)
+                        if mask >> bit & 1
+                    ]
+        return dict(zip(nodes, found))
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         """One computation step: simultaneous writes, dirty-region repair."""
         if self.spec.object_statements:
             return self._execute_selection_object(selection)
         # Phase 1: every statement reads the pre-step columns.
-        pending = self.pending_updates(
-            [(p, selection[p]) for p in sorted(selection)]
-        )
+        pending = self.pending_updates(selection.items())
         # Phase 2: all writes land simultaneously.
-        if not pending:
-            return set()
-        write_row = self.block.write_row
-        dirty = set()
-        for p, row in pending:
-            write_row(p, row)
-            dirty.add(p)
-        self._refresh(dirty)
+        dirty = self.write_pending(pending)
+        if dirty:
+            rows, groups = pending
+            if groups:
+                # The vector path ran: hand mask repair an index array.
+                import numpy as np
+
+                parts = [idx for idx, _ in groups]
+                parts.append(np.array([p for p, _ in rows], dtype=np.int64))
+                self._refresh(np.concatenate(parts))
+            else:
+                self._refresh(dirty)
         return dirty
 
-    def pending_updates(
-        self, items: Sequence[tuple[int, Action]]
-    ) -> list[tuple[int, tuple[int, ...]]]:
+    def pending_updates(self, items: Iterable[tuple[int, Action]]):
         """Phase 1 of a step: statements evaluated on pre-step columns.
 
-        ``items`` is ``(node, action)`` pairs in ascending node order.
-        Returns the *changed* rows as ``(node, new_row)``, ascending,
-        without writing anything — callers land the writes and repair
-        masks themselves.  Pure with respect to kernel state (column
-        reads stay within one hop of the given nodes), which is what
-        lets the region stepper evaluate disjoint regions concurrently
-        (DESIGN.md §14).  Large bulk-role groups on the numpy backend
-        are evaluated vectorially; the result is bit-identical to the
-        scalar path because both interpret the same IR over int64.
+        ``items`` is ``(node, action)`` pairs.  Returns ``(rows,
+        groups)`` without writing anything: ``rows`` lists the changed
+        scalar-path nodes as ``(node, new_row)``; ``groups`` lists each
+        vector-path group as ``(changed index array, [(field,
+        values)])``.  :meth:`write_pending` lands both.  Pure with
+        respect to kernel state (column reads stay within one hop of the
+        given nodes), which is what lets the region stepper evaluate
+        disjoint regions concurrently (DESIGN.md §14).  The vector path
+        is bit-identical to the scalar one because both interpret the
+        same IR over int64.
         """
-        masks = self._masks
         role_keys = self._role_keys
         dispatch_by_role = self._dispatch
-        resolved: list[tuple[int, str, tuple]] = []
+        by_action: dict[tuple[str, str], list[int]] = {}
         for p, action in items:
-            entry = dispatch_by_role[role_keys[p]].get(action.name)
-            if entry is None:
+            key = (role_keys[p], action.name)
+            nodes = by_action.get(key)
+            if nodes is None:
+                if key[1] not in dispatch_by_role[key[0]]:
+                    raise ProtocolError(
+                        f"action {key[1]!r} is not in node {p}'s program"
+                    )
+                nodes = by_action[key] = []
+            nodes.append(p)
+        rows: list[tuple[int, tuple[int, ...]]] = []
+        groups: list[tuple[object, list[tuple[str, object]]]] = []
+        masks = self._masks
+        bulk = self.spec.bulk_role
+        for (role, name), nodes in by_action.items():
+            bit, updates = dispatch_by_role[role][name]
+            if self._vector and (
+                len(nodes) >= VECTOR_MIN_NODES
+                or (role != bulk and self._wide.intersection(nodes))
+            ):
+                import numpy as np
+
+                at = np.array(nodes, dtype=np.int64)
+                # One vector check of the whole group's guard bit.
+                bad = at[(masks[at] >> bit & 1) == 0].tolist()
+                if not bad and updates:
+                    groups.append(
+                        self._updates_vectorized(at, self._aspecs[role][name])
+                    )
+            else:
+                bad = [p for p in nodes if not masks[p] >> bit & 1]
+                if not bad and updates:
+                    rows.extend(self._updates_scalar(nodes, updates))
+            if bad:
                 raise ProtocolError(
-                    f"action {action.name!r} is not in node {p}'s program"
-                )
-            bit, updates = entry
-            if not masks[p] >> bit & 1:
-                raise ProtocolError(
-                    f"action {action.name!r} executed at node {p} "
+                    f"action {name!r} executed at node {min(bad)} "
                     f"while its guard is false"
                 )
-            resolved.append((p, action.name, updates))
-        pending: list[tuple[int, tuple[int, ...]]] = []
-        if (
-            self.backend == "numpy"
-            and self.n > 1
-            and len(resolved) >= VECTOR_MIN_NODES
-        ):
-            resolved, vectorized = self._updates_vectorized(resolved)
-            pending.extend(vectorized)
+        return rows, groups
+
+    def _updates_scalar(self, nodes, updates):
+        """Changed ``(node, row)`` pairs of one action, closure by closure."""
         read_row = self.block.read_row
         cols = self.cols
-        for p, _name, updates in resolved:
+        out = []
+        for p in nodes:
             before = read_row(p)
             row = list(before)
             memo: dict = {}
@@ -428,61 +497,52 @@ class CompiledSpecKernel:
                 row[idx] = int(fn(cols, p, memo))
             after = tuple(row)
             if after != before:
-                pending.append((p, after))
-        pending.sort()
-        return pending
+                out.append((p, after))
+        return out
 
-    def _updates_vectorized(self, resolved):
-        """Vectorized statement evaluation for large bulk-role groups.
+    def _updates_vectorized(self, nodes, aspec):
+        """One action's statement over ``nodes`` as whole arrays.
 
-        Splits ``resolved`` into groups by action name; groups of
-        bulk-role nodes with compiled updates of size ≥
-        :data:`VECTOR_MIN_NODES` are interpreted over whole-group arrays
-        (same IR, same int64 arithmetic as the scalar closures), the
-        rest fall back.  Returns ``(scalar_leftover, pending)``.
+        Same IR, same int64 arithmetic as the scalar closures.  Returns
+        ``(changed index array, [(field, values at those indices)])``.
         """
         import numpy as np
 
-        bulk = self.spec.bulk_role
-        role_keys = self._role_keys
-        groups: dict[str, list[int]] = {}
-        scalar: list[tuple[int, str, tuple]] = []
-        for item in resolved:
-            p, name, updates = item
-            if role_keys[p] == bulk and updates:
-                groups.setdefault(name, []).append(p)
+        A, vn, _truthy = self._vector_scope(nodes)
+        size = len(A)
+        cols = self.cols
+        new_vals: list[tuple[str, object]] = []
+        changed = np.zeros(size, dtype=bool)
+        for fname, uexpr in aspec.updates.items():
+            vals = np.asarray(vn(uexpr))
+            if vals.ndim == 0:
+                vals = np.full(size, int(vals), dtype=np.int64)
             else:
-                scalar.append(item)
-        specs = {a.name: a for a in self.spec.programs[bulk]}
-        pending: list[tuple[int, tuple[int, ...]]] = []
-        field_index = self._field_index
-        read_row = self.block.read_row
-        for name in sorted(groups):
-            nodes = groups[name]
-            if len(nodes) < VECTOR_MIN_NODES:
-                entry = self._dispatch[bulk][name]
-                scalar.extend((p, name, entry[1]) for p in nodes)
-                continue
-            A, vn, _truthy = self._vector_scope(nodes)
-            size = len(nodes)
-            new_vals: list[tuple[str, object]] = []
-            changed = np.zeros(size, dtype=bool)
-            for fname, uexpr in specs[name].updates.items():
-                vals = np.asarray(vn(uexpr))
-                if vals.ndim == 0:
-                    vals = np.full(size, int(vals), dtype=np.int64)
-                else:
-                    vals = vals.astype(np.int64, copy=False)
-                changed |= vals != np.asarray(self.cols[fname])[A]
-                new_vals.append((fname, vals))
-            for i in np.nonzero(changed)[0]:
-                i = int(i)
-                p = nodes[i]
-                row = list(read_row(p))
-                for fname, vals in new_vals:
-                    row[field_index[fname]] = int(vals[i])
-                pending.append((p, tuple(row)))
-        return scalar, pending
+                vals = vals.astype(np.int64, copy=False)
+            changed |= vals != cols[fname][A]
+            new_vals.append((fname, vals))
+        if changed.all():
+            return A, new_vals
+        return A[changed], [(fname, vals[changed]) for fname, vals in new_vals]
+
+    def write_pending(self, pending) -> set[int]:
+        """Phase 2: land :meth:`pending_updates`' writes; the dirty set.
+
+        Vector groups land as one whole-column assignment per field,
+        scalar rows one row at a time.  Masks are not repaired here.
+        """
+        rows, groups = pending
+        block = self.block
+        dirty: set[int] = set()
+        for idx, values in groups:
+            if len(idx):
+                block.write_columns(idx, values)
+                dirty.update(idx.tolist())
+        write_row = block.write_row
+        for p, row in rows:
+            write_row(p, row)
+            dirty.add(p)
+        return dirty
 
     def _execute_selection_object(
         self, selection: Mapping[int, Action]
@@ -550,8 +610,11 @@ class CompiledSpecKernel:
     # ------------------------------------------------------------------
     # Mask maintenance
     # ------------------------------------------------------------------
-    def _refresh(self, dirty: set[int]) -> None:
-        """Re-evaluate masks on ``dirty ∪ N(dirty)`` (1-hop locality)."""
+    def _refresh(self, dirty) -> None:
+        """Re-evaluate masks on ``dirty ∪ N(dirty)`` (1-hop locality).
+
+        ``dirty`` is a set or an index array of distinct nodes.
+        """
         affected = self.affected_of(dirty)
         if _telemetry.enabled:
             start = time.perf_counter()
@@ -566,8 +629,34 @@ class CompiledSpecKernel:
         else:
             self._recompute_masks(affected)
 
-    def affected_of(self, dirty) -> list[int]:
-        """``sorted(dirty ∪ N(dirty))`` — the mask-repair set of a write."""
+    def affected_of(self, dirty):
+        """``sorted(dirty ∪ N(dirty))`` — the mask-repair set of a write.
+
+        Large dirty sets on the numpy backend gather their CSR slices in
+        one pass, mark them in a node bitmap and return its ascending
+        nonzero index; small ones return a list.
+        """
+        if self._vector and len(dirty) >= VECTOR_MIN_NODES:
+            import numpy as np
+
+            indptr, indices = self.csr.as_numpy()
+            if isinstance(dirty, np.ndarray):
+                D = dirty
+            else:
+                D = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            starts = indptr[D]
+            counts = indptr[D + 1] - starts
+            total = int(counts.sum())
+            offsets = np.cumsum(counts) - counts
+            pos = (
+                np.arange(total, dtype=np.int64)
+                - np.repeat(offsets, counts)
+                + np.repeat(starts, counts)
+            )
+            marked = np.zeros(self.n, dtype=bool)
+            marked[D] = True
+            marked[indices[pos]] = True
+            return np.flatnonzero(marked)
         affected = set(dirty)
         indptr, indices = self.csr.indptr, self.csr.indices
         for p in dirty:
@@ -577,24 +666,28 @@ class CompiledSpecKernel:
     def _recompute_masks(self, nodes) -> None:
         self.apply_masks(nodes, self.mask_values(nodes))
 
-    def mask_values(self, nodes) -> list[int]:
+    def mask_values(self, nodes):
         """Guard masks of ``nodes`` (ascending, sized) — the pure half
         of mask repair.  Reads columns within one hop of ``nodes`` and
         writes nothing, so disjoint-region calls may run concurrently;
         :meth:`apply_masks` installs the results (main thread only).
+        Returns an int64 array from the vector path, else a list.
         """
-        if (
-            self.backend == "numpy"
-            and self.n > 1
-            and len(nodes) >= VECTOR_MIN_NODES
-        ):
+        if self._vector and len(nodes) >= VECTOR_MIN_NODES:
             return self._masks_vectorized(nodes)
-        mask_of = self._mask_of
+        mask_of = self._mask_one if self._wide else self._mask_of
         return [mask_of(p) for p in nodes]
 
-    def apply_masks(self, nodes, values: Sequence[int]) -> None:
+    def apply_masks(self, nodes, values) -> None:
         """Install :meth:`mask_values` results into the mask/enabled state."""
         masks = self._masks
+        if self.backend == "numpy":
+            if len(nodes) >= VECTOR_MIN_NODES:
+                masks[nodes] = values
+            else:
+                for p, mask in zip(nodes, values):
+                    masks[p] = mask
+            return
         enabled = self._enabled
         for p, mask in zip(nodes, values):
             masks[p] = mask
@@ -612,6 +705,18 @@ class CompiledSpecKernel:
             if fn(cols, p, memo):
                 mask |= bit
             bit <<= 1
+        return mask
+
+    def _mask_one(self, p: int) -> int:
+        return self._mask_wide(p) if p in self._wide else self._mask_of(p)
+
+    def _mask_wide(self, p: int) -> int:
+        """Node ``p``'s mask through the vector interpreter (one node)."""
+        A, vn, truthy = self._vector_scope([p])
+        mask = 0
+        for bit, aspec in enumerate(self.spec.programs[self._role_keys[p]]):
+            if bool(truthy(vn(aspec.guard)).all()):
+                mask |= 1 << bit
         return mask
 
     # ------------------------------------------------------------------
@@ -854,7 +959,7 @@ class CompiledSpecKernel:
         import numpy as np
 
         indptr, indices = self.csr.as_numpy()
-        A = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        A = np.asarray(nodes, dtype=np.int64)
         cols = {
             name: np.asarray(col) for name, col in self.cols.items()
         }
@@ -876,7 +981,8 @@ class CompiledSpecKernel:
         edge_memo: dict[int, object] = {}
 
         def truthy(x):
-            return np.asarray(x) != 0
+            arr = np.asarray(x)
+            return arr if arr.dtype == np.bool_ else arr != 0
 
         def as_edges(x):
             arr = np.asarray(x)
@@ -1055,7 +1161,7 @@ class CompiledSpecKernel:
 
         return A, vn, truthy
 
-    def _masks_vectorized(self, nodes) -> list[int]:
+    def _masks_vectorized(self, nodes):
         import numpy as np
 
         A, vn, truthy = self._vector_scope(nodes)
@@ -1064,16 +1170,14 @@ class CompiledSpecKernel:
         for bit, aspec in enumerate(program):
             g = np.broadcast_to(truthy(vn(aspec.guard)), A.shape)
             masks |= g.astype(np.int64) << bit
-        result = masks.tolist()
         # Nodes outside the bulk role (typically just the root) run a
-        # different program: overwrite scalarly.
-        mask_of = self._mask_of
+        # different program: overwrite them one by one.
         size = len(A)
         for p in self._nonbulk:
             idx = int(np.searchsorted(A, p))
             if idx < size and int(A[idx]) == p:
-                result[idx] = mask_of(p)
-        return result
+                masks[idx] = self._mask_one(p)
+        return masks
 
 
 def _binop(op: type, a: Callable, b: Callable) -> Callable:

@@ -17,10 +17,24 @@ schemas without creating an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["ColumnField", "ColumnSchema", "identity_int", "bool_field"]
+__all__ = [
+    "ColumnField",
+    "ColumnSchema",
+    "DECODE_MEMO_CAP",
+    "identity_int",
+    "bool_field",
+]
+
+#: Most rows a schema's decode memo holds before it is emptied.  The
+#: memo is shared by every block of the schema, so the cap is fixed
+#: rather than per network.  Hits come from nodes moving in lockstep
+#: (a synchronous star's leaves share a handful of rows), which a small
+#: memo already catches; a large one only adds resident memory on
+#: networks whose rows are mostly distinct.
+DECODE_MEMO_CAP = 4096
 
 
 def identity_int(value: Any) -> int:
@@ -68,22 +82,52 @@ class ColumnSchema:
 
     state_type: type
     fields: tuple[ColumnField, ...]
+    #: Column names in field order (computed once).
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Row tuple -> decoded state, capped at :data:`DECODE_MEMO_CAP`.
+    _memo: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
+        names = tuple(f.name for f in self.fields)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate column names in schema: {names}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+            raise ValueError(
+                f"duplicate column names in schema: {list(names)}"
+            )
+        object.__setattr__(self, "names", names)
 
     def encode_state(self, state: Any) -> tuple[int, ...]:
         """Encode one state object into its column row."""
         return tuple(f.encode(getattr(state, f.name)) for f in self.fields)
 
     def decode_row(self, row: Sequence[int]) -> Any:
-        """Build a state object from one column row."""
-        return self.state_type(
-            **{f.name: f.decode(v) for f, v in zip(self.fields, row)}
-        )
+        """The state object of one column row.
+
+        Equal rows decode to one shared object (states are immutable):
+        the memo keeps the last decodes, up to
+        :data:`DECODE_MEMO_CAP` rows, and is emptied when full.
+        """
+        key = tuple(row)
+        memo = self._memo
+        state = memo.get(key)
+        if state is None:
+            state = self.state_type(
+                **{f.name: f.decode(v) for f, v in zip(self.fields, key)}
+            )
+            if len(memo) >= DECODE_MEMO_CAP:
+                memo.clear()
+            memo[key] = state
+        return state
+
+    def decode_rows(self, rows: Iterable[tuple[int, ...]]) -> list[Any]:
+        """:meth:`decode_row` over many row tuples."""
+        memo = self._memo
+        get = memo.get
+        decode = self.decode_row
+        out = []
+        append = out.append
+        for row in rows:
+            state = get(row)
+            append(decode(row) if state is None else state)
+        return out

@@ -167,5 +167,15 @@ def chosen_parent(ctx: Context, k: PifConstants) -> int | None:
     is the iteration order of ``ctx.neighbors`` — ``potential`` preserves
     it, so the first element is the local minimum.
     """
-    candidates = potential_members(ctx, k)
-    return candidates[0][0] if candidates else None
+    if ctx.cache is not None:
+        candidates = potential_members(ctx, k)
+        return candidates[0][0] if candidates else None
+    # Uncached (the monitor's per-join query): one pass keeping the
+    # first member of minimal level, which is ``potential``'s head.
+    best = None
+    best_level = 0
+    for q, sq in pre_potential_members(ctx, k):
+        if best is None or sq.level < best_level:
+            best = q
+            best_level = sq.level
+    return best

@@ -27,7 +27,7 @@ the height ``h`` of the tree actually built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol as TypingProtocol
+from typing import AbstractSet, Protocol as TypingProtocol
 
 from repro.core.state import Phase, PifState
 from repro.errors import SpecificationViolation
@@ -37,6 +37,9 @@ from repro.runtime.state import Configuration
 from repro.runtime.trace import StepRecord
 
 __all__ = ["WaveProtocol", "CycleReport", "PifCycleMonitor"]
+
+#: Non-root actions that demote a processor out of the wave.
+_DEMOTIONS = ("B-correction", "F-correction")
 
 
 class WaveProtocol(TypingProtocol):
@@ -59,10 +62,13 @@ class CycleReport:
     #: Rounds elapsed from initiation to cycle completion (back to clean).
     rounds: int = 0
     moves: int = 0
-    #: Processors that received ``m`` (root included).
-    received: set[int] = field(default_factory=set)
+    #: Processors that received ``m`` (root included).  Once a cycle
+    #: completes with every processor received and acknowledged, this
+    #: and :attr:`acked` become the monitor's shared frozensets, so a
+    #: long run keeps O(1) memory per clean cycle.
+    received: AbstractSet[int] = field(default_factory=set)
     #: Non-root processors whose acknowledgment joined the feedback.
-    acked: set[int] = field(default_factory=set)
+    acked: AbstractSet[int] = field(default_factory=set)
     #: Height of the tree built during this wave.
     height: int = 0
     #: Step at which the root executed its F-action, if it did.
@@ -128,6 +134,13 @@ class PifCycleMonitor:
                 f"no waves would remain to judge"
             )
         self.reports: list[CycleReport] = []
+        self._completed: list[CycleReport] = []
+        #: ``(network, all received, all acked)`` — the shared sets a
+        #: full cycle's report points at, rebuilt when the topology
+        #: changes.
+        self._full: (
+            tuple[Network, frozenset[int], frozenset[int]] | None
+        ) = None
         self._active: CycleReport | None = None
         self._in_wave: set[int] = set()
         self._rounds_seen = 0
@@ -144,7 +157,12 @@ class PifCycleMonitor:
     @property
     def completed_cycles(self) -> list[CycleReport]:
         """Reports of all completed cycles so far."""
-        return [r for r in self.reports if r.completed]
+        return list(self._completed)
+
+    @property
+    def completed_count(self) -> int:
+        """How many cycles have completed so far (O(1))."""
+        return len(self._completed)
 
     def all_cycles_ok(self) -> bool:
         """Every *completed* cycle satisfied PIF1 and PIF2."""
@@ -195,11 +213,47 @@ class PifCycleMonitor:
         # broadcasting in the pre-step configuration.
         if root in selection:
             self._observe_root(selection[root], record, after)
-        for node, action in sorted(selection.items()):
             if self._active is None:
-                break
-            if node != root:
-                self._observe_non_root(node, action, before, after)
+                return
+        # Non-root moves in ascending node order.  Only joins,
+        # acknowledgments and demotions bear on the verdict; the other
+        # moves (Fok, Count, C) need no look.  Quarantined processors
+        # are outside the judged subtree: they neither join the wave
+        # nor owe receipt/acknowledgment, and their demotions are
+        # expected, not violations.
+        in_wave = self._in_wave
+        quarantine = self.quarantine
+        network = self.network
+        join_parent = self.protocol.join_parent
+        for node, action in sorted(selection.items()):
+            if node == root:
+                continue
+            if action == "F-action":
+                if node in in_wave:
+                    report.acked.add(node)
+            elif action == "B-action":
+                if node in quarantine:
+                    continue
+                # A processor attaching to a stale tree did not receive
+                # m; nothing to record (PIF1 accounting catches it).
+                if join_parent(Context(node, network, before)) in in_wave:
+                    in_wave.add(node)
+                    report.received.add(node)
+                    state = after[node]
+                    if (
+                        isinstance(state, PifState)
+                        and state.level > report.height
+                    ):
+                        report.height = state.level
+            elif action in _DEMOTIONS:
+                if node in in_wave:
+                    self._violate(
+                        report,
+                        f"wave member {node} was demoted by {action} "
+                        f"(a legitimate wave member must never turn "
+                        f"abnormal)",
+                    )
+                    in_wave.discard(node)
 
     # ------------------------------------------------------------------
     # Internals
@@ -247,48 +301,25 @@ class PifCycleMonitor:
         elif action == "B-action":
             self._violate(report, "root re-broadcast inside an open cycle")
 
-    def _observe_non_root(
-        self,
-        node: int,
-        action: str,
-        before: Configuration,
-        after: Configuration,
-    ) -> None:
-        assert self._active is not None
-        report = self._active
-        if node in self.quarantine:
-            # Quarantined processors are outside the judged subtree:
-            # they neither join the wave nor owe receipt/acknowledgment,
-            # and their demotions are expected, not violations.
-            return
-        if action == "B-action":
-            parent = self.protocol.join_parent(
-                Context(node, self.network, before)
-            )
-            if parent in self._in_wave:
-                self._in_wave.add(node)
-                report.received.add(node)
-                state = after[node]
-                if isinstance(state, PifState):
-                    report.height = max(report.height, state.level)
-            # else: the processor attached to a stale tree — it did not
-            # receive m; nothing to record (PIF1 accounting catches it).
-        elif action == "F-action":
-            if node in self._in_wave:
-                report.acked.add(node)
-        elif action in ("B-correction", "F-correction"):
-            if node in self._in_wave:
-                self._violate(
-                    report,
-                    f"wave member {node} was demoted by {action} "
-                    f"(a legitimate wave member must never turn abnormal)",
-                )
-                self._in_wave.discard(node)
-
     def _finish_wave(self, record: StepRecord) -> None:
-        assert self._active is not None
-        self._active.end_step = record.index
-        self._active.completed = True
+        report = self._active
+        assert report is not None
+        report.end_step = record.index
+        report.completed = True
+        if not report.violations:
+            full = self._full
+            if full is None or full[0] is not self.network:
+                received = frozenset(self.network.nodes) - self.quarantine
+                full = (
+                    self.network,
+                    received,
+                    received - {self.protocol.root},
+                )
+                self._full = full
+            if report.received == full[1] and report.acked == full[2]:
+                report.received = full[1]
+                report.acked = full[2]
+        self._completed.append(report)
         self._active = None
         self._in_wave = set()
 

@@ -13,7 +13,7 @@ Quick start::
     protocol = SnapPif.for_network(net)        # root = 0, N known at root
     monitor = PifCycleMonitor(protocol, net)
     sim = Simulator(protocol, net, monitors=[monitor])
-    sim.run(until=lambda c: len(monitor.completed_cycles) >= 1)
+    sim.run(until=lambda c: monitor.completed_count >= 1)
 """
 
 from __future__ import annotations

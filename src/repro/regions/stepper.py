@@ -100,14 +100,9 @@ class RegionStepper:
         never observe each other (DESIGN.md §14).
         """
         kernel = self.kernel
-        pending = kernel.pending_updates(items)
-        if not pending:
+        dirty = kernel.write_pending(kernel.pending_updates(items))
+        if not dirty:
             return (set(), [], [])
-        write_row = kernel.block.write_row
-        dirty = set()
-        for p, row in pending:
-            write_row(p, row)
-            dirty.add(p)
         affected = kernel.affected_of(dirty)
         return (dirty, affected, kernel.mask_values(affected))
 

@@ -281,6 +281,8 @@ class Network:
     # Value semantics
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Network):
             return NotImplemented
         return self._neighbors == other._neighbors

@@ -1770,7 +1770,7 @@ def check_cycle_liveness_synchronous(
                     config,
                     max_steps=budget,
                     monitor=monitor,
-                    stop=lambda _c: len(monitor.completed_cycles) >= 1,
+                    stop=lambda _c: monitor.completed_count >= 1,
                 )
                 result.states_explored += steps
             else:
@@ -1778,7 +1778,7 @@ def check_cycle_liveness_synchronous(
                     protocol, network, configuration=config, monitors=[monitor]
                 )
                 sim.run(
-                    until=lambda _c: len(monitor.completed_cycles) >= 1,
+                    until=lambda _c: monitor.completed_count >= 1,
                     max_steps=budget,
                 )
                 result.states_explored += sim.steps

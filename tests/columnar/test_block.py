@@ -132,6 +132,83 @@ class TestColumnBlock:
         with pytest.raises(ValueError, match="5-node block"):
             block.load(_random_config(ring(6), 1))
 
+    def test_write_columns_keeps_unwritten_state_objects(
+        self, backend: str
+    ) -> None:
+        net = ring(12)
+        config = _random_config(net, 4)
+        block = ColumnBlock(PIF_COLUMNS, backend, config)
+        idx = _index(backend, [1, 5, 9])
+        block.write_columns(idx, [("count", _index(backend, [7, 8, 9]))])
+        after = block.materialize()
+        assert [after[p].count for p in (1, 5, 9)] == [7, 8, 9]
+        for p in (1, 5, 9):
+            assert after[p] == config[p].replace(count=after[p].count)
+        for p in set(net.nodes) - {1, 5, 9}:
+            assert after[p] is config[p]
+
+    def test_empty_write_columns_keeps_the_configuration(
+        self, backend: str
+    ) -> None:
+        block = ColumnBlock(PIF_COLUMNS, backend, _random_config(ring(6), 2))
+        first = block.materialize()
+        empty = _index(backend, [])
+        block.write_columns(empty, [("count", empty)])
+        assert block.materialize() is first
+
+    def test_many_writes_without_materialize_stay_exact(
+        self, backend: str
+    ) -> None:
+        # More recorded writes than nodes collapse the stale lists into
+        # a full decode; the result must still be exact.
+        net = ring(5)
+        block = ColumnBlock(PIF_COLUMNS, backend, _random_config(net, 3))
+        for step in range(12):
+            p = step % 5
+            row = list(block.read_row(p))
+            row[3] = step + 1
+            block.write_row(p, row)
+        after = block.materialize()
+        assert [after[p].count for p in net.nodes] == [11, 12, 8, 9, 10]
+        assert all(
+            PIF_COLUMNS.encode_state(after[p]) == block.read_row(p)
+            for p in net.nodes
+        )
+
+
+def _index(backend: str, values: list[int]):
+    if backend == "numpy":
+        import numpy as np
+
+        return np.array(values, dtype=np.int64)
+    return values
+
+
+class TestDecodeMemo:
+    def test_equal_rows_share_one_state(self) -> None:
+        net = ring(8)
+        clean = SnapPif.for_network(net).initial_configuration(net)
+        block = ColumnBlock(PIF_COLUMNS, "pure", clean)
+        row = block.read_row(3)
+        for p in (2, 4, 6):
+            block.write_row(p, row)
+        after = block.materialize()
+        assert after[2] is after[4] is after[6]
+        assert after[2] == clean[3]
+
+    def test_memo_never_grows_past_its_cap(self) -> None:
+        from repro.columnar.schema import DECODE_MEMO_CAP, ColumnSchema
+
+        schema = ColumnSchema(PifState, PIF_COLUMNS.fields)
+        first = schema.decode_row((2, -1, 0, 1, 0))
+        assert schema.decode_row((2, -1, 0, 1, 0)) is first
+        for count in range(DECODE_MEMO_CAP + 10):
+            schema.decode_row((0, 1, 1, count, 0))
+            assert len(schema._memo) <= DECODE_MEMO_CAP
+
+    def test_schema_names_are_computed_once(self) -> None:
+        assert PIF_COLUMNS.names is PIF_COLUMNS.names
+
 
 class TestCSRIndex:
     def test_preserves_local_neighbor_order(self) -> None:

@@ -14,6 +14,7 @@ from repro.graphs import line, random_connected, ring
 from repro.protocols import SelfStabPif
 from repro.runtime.daemons import DistributedRandomDaemon
 from repro.runtime.simulator import Simulator
+from repro.runtime.trace import StepRecord
 
 from tests.core.helpers import S, cfg
 
@@ -68,6 +69,58 @@ class TestHappyPath:
         sim.step()
         monitor.on_start(sim.configuration)
         assert monitor.active_cycle is None
+
+
+class TestCycleMemory:
+    """Clean cycles share the monitor's sets; others keep their own."""
+
+    def _clean_run(self, cycles: int):
+        net = line(4)
+        pif = SnapPif.for_network(net)
+        monitor = PifCycleMonitor(pif, net)
+        sim = Simulator(pif, net, monitors=[monitor])
+        sim.run(until=lambda _c: monitor.completed_count >= cycles)
+        return net, monitor
+
+    def test_completed_count_tracks_completed_cycles(self) -> None:
+        _net, monitor = self._clean_run(3)
+        assert monitor.completed_count == 3
+        assert len(monitor.completed_cycles) == 3
+
+    def test_full_cycles_share_one_pair_of_sets(self) -> None:
+        net, monitor = self._clean_run(2)
+        first, second = monitor.completed_cycles
+        assert first.received == set(net.nodes)
+        assert first.acked == set(net.nodes) - {0}
+        assert first.received is second.received
+        assert first.acked is second.acked
+
+    def test_aborted_and_partial_cycles_keep_their_own_sets(self) -> None:
+        net, monitor = self._clean_run(1)
+        full = monitor.completed_cycles[0]
+        # Aborted: the root initiates, then corrects its own wave.
+        monitor.on_step(None, StepRecord(10, {0: "B-action"}, 0), None)
+        monitor.on_step(None, StepRecord(11, {0: "B-correction"}, 0), None)
+        aborted = monitor.reports[-1]
+        assert not aborted.completed
+        assert aborted.received == {0}
+        # Partial: initiated and still open.
+        monitor.on_step(None, StepRecord(12, {0: "B-action"}, 0), None)
+        partial = monitor.active_cycle
+        assert partial is not None
+        for report in (aborted, partial):
+            assert isinstance(report.received, set)
+            assert report.received is not full.received
+            assert report.acked is not full.acked
+        assert aborted.received is not partial.received
+        assert monitor.completed_count == 1
+
+    def test_violating_cycle_keeps_its_own_sets(self) -> None:
+        sim, monitor = TestViolationDetection()._corrupted_selfstab_run()
+        sim.run(max_steps=len(TestViolationDetection.SCHEDULE))
+        first = monitor.completed_cycles[0]
+        assert isinstance(first.received, set)
+        assert first.received == {0, 1}
 
 
 class TestViolationDetection:

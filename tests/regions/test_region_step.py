@@ -16,6 +16,8 @@ pure and numpy.
 
 from __future__ import annotations
 
+import sys
+import time
 from random import Random
 
 import pytest
@@ -177,6 +179,39 @@ class TestComposition:
         for _ in range(25):
             if sim.step() is None:
                 break
+        assert protocol.enabled_map(sim.configuration, net) == sim._enabled
+
+    def test_concurrent_region_writes_keep_every_stale_node(self) -> None:
+        # Region workers record the nodes they write in the shared
+        # column block; a lost record would decode a stale state, which
+        # the validator's successor check against the object engine
+        # reports.  More threads than cores and a tiny switch interval
+        # make the workers interleave inside those records.
+        net = by_name("ring", 600)
+        protocol = SnapPif.for_network(net)
+        sim = Simulator(
+            protocol,
+            net,
+            DistributedRandomDaemon(0.3),
+            configuration=protocol.random_configuration(net, Random(5)),
+            seed=6,
+            engine="columnar",
+            validate_engine=True,
+            region_parallel=True,
+            region_threads=4,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        steps = 0
+        try:
+            deadline = time.monotonic() + 5.0
+            while steps < 40 and time.monotonic() < deadline:
+                if sim.step() is None:
+                    break
+                steps += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert steps > 0
         assert protocol.enabled_map(sim.configuration, net) == sim._enabled
 
     def test_environment_knobs_reach_the_runtime(self, monkeypatch) -> None:
