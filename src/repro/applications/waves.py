@@ -91,7 +91,9 @@ def validate_wave_args(
     normalized = dict(args)
     if kind == "infimum":
         op = normalized.setdefault("op", "min")
-        if op not in INFIMUM_OPS:
+        # A non-string op (a list, a dict) is unhashable: reject it by
+        # type before the lookup could raise a TypeError.
+        if not isinstance(op, str) or op not in INFIMUM_OPS:
             raise WaveRequestError(
                 f"infimum op must be one of {sorted(INFIMUM_OPS)}, got {op!r}"
             )

@@ -31,6 +31,7 @@ __all__ = [
     "numpy_available",
     "resolve_backend",
     "make_column",
+    "make_objects",
 ]
 
 #: Recognized values of ``REPRO_COLUMNAR_BACKEND``.
@@ -103,3 +104,18 @@ def make_column(backend: str, typecode: str, values) -> "object":
     np = _load_numpy()
     assert np is not None, "numpy backend resolved without numpy"
     return np.array(list(values), dtype=_NUMPY_DTYPES[typecode])
+
+
+def make_objects(backend: str, values) -> "object":
+    """Allocate one payload column holding ``values`` by reference.
+
+    Pure backend: a list.  Numpy backend: a ``dtype=object`` ndarray,
+    filled element by element so tuple values stay single elements;
+    fancy-index gathers on it copy references, never values.
+    """
+    values = list(values)
+    if backend == "pure":
+        return values
+    np = _load_numpy()
+    assert np is not None, "numpy backend resolved without numpy"
+    return np.fromiter(values, dtype=object, count=len(values))

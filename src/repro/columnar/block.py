@@ -18,13 +18,18 @@ Unwritten nodes keep their exact state objects, and the assembled
 ``Configuration`` is reused until any write happens, so a no-op step
 returns the *same* configuration object, preserving the identity
 guarantee the incremental engine's dirty-set filtering established.
+
+Payload fields of the schema live in :attr:`ColumnBlock.payload`, one
+reference per node (a list on the pure backend, a ``dtype=object``
+ndarray on numpy); they are written through the same two calls and
+decoded alongside the integer columns.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.columnar.backend import make_column
+from repro.columnar.backend import make_column, make_objects
 from repro.columnar.schema import ColumnSchema
 from repro.runtime.state import Configuration, NodeState
 
@@ -35,9 +40,10 @@ class ColumnBlock:
     """Flat per-variable columns for one configuration.
 
     ``columns`` maps field name → backing array (``array.array`` or
-    ndarray, per backend).  Kernels read the arrays directly; all
-    writes must go through :meth:`write_row` / :meth:`write_columns`
-    so materialization stays honest.
+    ndarray, per backend) and ``payload`` maps each payload field name
+    → its reference column.  Kernels read both directly; all writes
+    must go through :meth:`write_row` / :meth:`write_columns` so
+    materialization stays honest.
     """
 
     __slots__ = (
@@ -45,7 +51,10 @@ class ColumnBlock:
         "backend",
         "n",
         "columns",
+        "payload",
         "_cols",
+        "_payload_cols",
+        "_targets",
         "_states",
         "_config",
         "_stale",
@@ -67,8 +76,17 @@ class ColumnBlock:
             )
             for i, f in enumerate(schema.fields)
         }
-        #: The columns in schema field order.
+        self.payload = {
+            name: make_objects(
+                backend, (getattr(state, name) for state in configuration)
+            )
+            for name in schema.payload
+        }
+        #: The columns in schema field order, then the payload columns.
         self._cols = tuple(self.columns[name] for name in schema.names)
+        self._payload_cols = tuple(self.payload[n] for n in schema.payload)
+        #: Every writable column by name.
+        self._targets = {**self.columns, **self.payload}
         # Per-node decoded states, seeded with the exact objects of the
         # source configuration (no decode needed until a write).
         self._states: list[NodeState] = list(configuration.states)
@@ -83,7 +101,7 @@ class ColumnBlock:
         #: Duplicates are harmless (a re-decode is idempotent); once the
         #: recorded count exceeds ``n`` the lists collapse into
         #: ``_all_stale`` so their memory stays O(n) even when nothing
-        #: materializes (the object-statement kernels never do).
+        #: materializes.
         self._stale: list[int] = []
         self._stale_arrays: list = []
         self._stale_count = 0
@@ -101,12 +119,20 @@ class ColumnBlock:
     # Row and column writes
     # ------------------------------------------------------------------
     def read_row(self, p: int) -> tuple[int, ...]:
-        """Node ``p``'s raw column values, in schema field order."""
+        """Node ``p``'s raw integer column values, in schema field order."""
         return tuple(int(col[p]) for col in self._cols)
 
-    def write_row(self, p: int, row: Sequence[int]) -> None:
-        """Overwrite node ``p``'s columns and mark it stale."""
+    def write_row(
+        self, p: int, row: Sequence[int], payload: Sequence[object] = ()
+    ) -> None:
+        """Overwrite node ``p``'s columns and mark it stale.
+
+        ``payload``, when given, holds the new payload values in schema
+        order.
+        """
         for col, value in zip(self._cols, row):
+            col[p] = value
+        for col, value in zip(self._payload_cols, payload):
             col[p] = value
         if not self._all_stale:
             self._stale.append(p)
@@ -117,14 +143,15 @@ class ColumnBlock:
 
         ``idx`` is an index array (ndarray on the numpy backend, any int
         sequence on the pure one) and ``values`` pairs each written
-        field with one value per index.  Fields not listed keep their
-        values.  An empty ``idx`` writes nothing and invalidates
-        nothing.
+        field — integer or payload — with one value per index (an
+        object ndarray for a payload field on numpy).  Fields not
+        listed keep their values.  An empty ``idx`` writes nothing and
+        invalidates nothing.
         """
         size = len(idx)
         if not size:
             return
-        columns = self.columns
+        columns = self._targets
         if self.backend == "numpy":
             for name, vals in values:
                 columns[name][idx] = vals
@@ -156,10 +183,13 @@ class ColumnBlock:
 
             at = np.asarray(idx, dtype=np.int64)
             gathered = [col[at].tolist() for col in self._cols]
+            payload = [col[at].tolist() for col in self._payload_cols]
         else:
             gathered = [[int(col[p]) for p in idx] for col in self._cols]
+            payload = [[col[p] for p in idx] for col in self._payload_cols]
+        decoded = self.schema.decode_rows(zip(*gathered), payload)
         states = self._states
-        for p, state in zip(idx, self.schema.decode_rows(zip(*gathered))):
+        for p, state in zip(idx, decoded):
             states[p] = state
 
     # ------------------------------------------------------------------
@@ -191,6 +221,9 @@ class ColumnBlock:
             encode = f.encode
             for p, state in enumerate(configuration.states):
                 column[p] = encode(getattr(state, f.name))
+        for name, column in zip(self.schema.payload, self._payload_cols):
+            for p, state in enumerate(configuration.states):
+                column[p] = getattr(state, name)
         self._states = list(configuration.states)
         self._config = configuration
         self._clear_stale()

@@ -39,20 +39,27 @@ is interpreted over arrays and yields ``(changed index array,
 Phase 2 (:meth:`CompiledSpecKernel.write_pending`) lands each vector
 group with one ``col[idx] = vals`` per field.  Mask repair then gathers
 ``dirty ∪ N(dirty)`` from the CSR index and re-evaluates it the same
-two ways.  Specs with ``object_statements=True`` (impure statements,
-e.g. payload envelopes) run compiled guards but delegate statements to
-the protocol's object :class:`~repro.runtime.protocol.Action` path and
-opt out of successor lockstep validation (``validates_successor``).
+two ways.
+
+Actions with a host hook (:class:`~repro.columnar.expr.ActionSpec`)
+also compute the schema's payload fields: phase 1 calls the hook once
+per action group with a :class:`HostGroup` view of the pre-step state
+and the IR's new values, and phase 2 lands the returned payload with
+the integer writes.  A node whose only change is a payload field is
+written and marked stale for decode but needs no mask repair (guards
+never read payload).  Hooks may be impure, so such kernels opt out of
+successor lockstep validation (``validates_successor``).
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from typing import Callable, Iterable, Mapping
+from operator import is_not as _is_not
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from repro import telemetry as _telemetry
-from repro.columnar.backend import make_column
+from repro.columnar.backend import make_column, make_objects
 from repro.columnar.block import ColumnBlock
 from repro.columnar.csr import CSRIndex
 from repro.columnar.expr import (
@@ -85,12 +92,13 @@ from repro.columnar.expr import (
 )
 from repro.errors import ProtocolError
 from repro.runtime.network import Network
-from repro.runtime.protocol import Action, Context, Protocol
+from repro.runtime.protocol import Action, Protocol
 from repro.runtime.state import Configuration, NodeState
 from repro.telemetry.registry import TIME_BOUNDS
 
 __all__ = [
     "CompiledSpecKernel",
+    "HostGroup",
     "VECTOR_MIN_NODES",
     "csr_for",
     "segment_reduce",
@@ -152,6 +160,83 @@ def segment_reduce(ufunc, values, offsets, counts, identity):
     if nz.size:
         out[nz] = ufunc.reduceat(values, offsets[nz])
     return out
+
+
+def _csr_slices(indptr, nodes):
+    """``(counts, offsets, pos)`` of ``nodes``' concatenated CSR slices.
+
+    ``counts[i]`` is node ``i``'s degree, ``offsets[i]`` where its slice
+    starts in the concatenation, and ``pos`` every edge's position in
+    the CSR ``indices`` array, node by node in local order (zero-degree
+    nodes contribute no edges).
+    """
+    import numpy as np
+
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    pos = (
+        np.arange(int(counts.sum()), dtype=np.int64)
+        - np.repeat(offsets, counts)
+        + np.repeat(starts, counts)
+    )
+    return counts, offsets, pos
+
+
+class _Scope(NamedTuple):
+    """One whole-region vector evaluation scope (see ``_vector_scope``)."""
+
+    A: object
+    vn: Callable
+    ve: Callable
+    truthy: Callable
+    owner: object
+    nbr: object
+
+
+class HostGroup:
+    """One action group as its host hook sees it in phase 1.
+
+    ``idx`` holds the group's nodes in selection order (an int64 ndarray
+    on the numpy backend, a list on the pure one).  ``payload`` holds
+    the pre-step payload columns and ``new`` maps each field the
+    action's IR updates to its new values, aligned with ``idx``;
+    :meth:`edges` reads the pre-step integer columns through IR.  All
+    of it is read-only: the kernel lands what the hook returns in
+    phase 2.
+    """
+
+    __slots__ = ("idx", "new", "payload", "_kernel")
+
+    def __init__(self, kernel: "CompiledSpecKernel", idx, new) -> None:
+        self.idx = idx
+        self.new = new
+        self.payload = kernel.block.payload
+        self._kernel = kernel
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    @property
+    def nodes(self) -> list[int]:
+        """``idx`` as a list of ints."""
+        idx = self.idx
+        return idx if isinstance(idx, list) else idx.tolist()
+
+    def fill(self, value: object):
+        """One reference to ``value`` per node, in payload storage form."""
+        return make_objects(self._kernel.backend, [value] * len(self.idx))
+
+    def take(self, column, at):
+        """``column``'s entries at the node ids ``at`` (one vector gather
+        on numpy; a payload column yields references, not copies)."""
+        if isinstance(column, list):
+            return [column[q] for q in at]
+        return column[at]
+
+    def edges(self, nodes, where: Expr) -> tuple[list[int], list[int]]:
+        """See :meth:`CompiledSpecKernel.host_edges`."""
+        return self._kernel.host_edges(nodes, where)
 
 
 def _validate_expr(
@@ -219,9 +304,9 @@ class CompiledSpecKernel:
         self.csr = csr_for(network)
         self.n = network.n
         #: Whether the lockstep validator may re-execute selections
-        #: against the object engine (false for object-statement specs:
-        #: impure statements must run exactly once).
-        self.validates_successor = not spec.object_statements
+        #: against the object engine (false when host hooks exist: an
+        #: impure hook must run exactly once per step).
+        self.validates_successor = not spec.has_host_hooks
 
         schema_names = set(self.schema.names)
         static_cols: dict[str, object] = {}
@@ -240,6 +325,7 @@ class CompiledSpecKernel:
                 static_cols[name] = make_column(backend, "q", values)
         self._static_cols = static_cols
         fields = frozenset(schema_names | set(static_cols))
+        self._fields = fields
 
         # Role table + spec/object program agreement (checks run against
         # one representative node per role; node_actions also triggers
@@ -288,38 +374,39 @@ class CompiledSpecKernel:
         field_index = {name: i for i, name in enumerate(self.schema.names)}
         self._field_index = field_index
         self._guards: dict[str, tuple[Callable, ...]] = {}
-        self._dispatch: dict[str, dict[str, tuple[int, object]]] = {}
+        self._dispatch: dict[str, dict[str, tuple]] = {}
         self._aspecs = {
             role: {a.name: a for a in program}
             for role, program in programs.items()
         }
         for role, program in programs.items():
             guard_fns = []
-            dispatch: dict[str, tuple[int, object]] = {}
+            dispatch: dict[str, tuple] = {}
             for bit, aspec in enumerate(program):
                 where = f"role {role!r}, action {aspec.name!r}"
                 _validate_expr(
                     aspec.guard, in_guard=True, fields=fields, where=where
                 )
                 guard_fns.append(self._compile_node(aspec.guard))
-                if spec.object_statements:
-                    updates: object = None
-                else:
-                    compiled = []
-                    for fname, uexpr in aspec.updates.items():
-                        if fname not in field_index:
-                            raise ProtocolError(
-                                f"{where}: update target {fname!r} is not "
-                                f"a schema column"
-                            )
-                        _validate_expr(
-                            uexpr, in_guard=False, fields=fields, where=where
+                compiled = []
+                for fname, uexpr in aspec.updates.items():
+                    if fname not in field_index:
+                        raise ProtocolError(
+                            f"{where}: update target {fname!r} is not "
+                            f"a schema column"
                         )
-                        compiled.append(
-                            (field_index[fname], self._compile_node(uexpr))
-                        )
-                    updates = tuple(compiled)
-                dispatch[aspec.name] = (bit, updates)
+                    _validate_expr(
+                        uexpr, in_guard=False, fields=fields, where=where
+                    )
+                    compiled.append(
+                        (field_index[fname], self._compile_node(uexpr))
+                    )
+                if aspec.host is not None and not self.schema.payload:
+                    raise ProtocolError(
+                        f"{where}: host hook on a schema without payload "
+                        f"fields"
+                    )
+                dispatch[aspec.name] = (bit, tuple(compiled), aspec.host)
             self._guards[role] = tuple(guard_fns)
             self._dispatch[role] = dispatch
 
@@ -338,10 +425,8 @@ class CompiledSpecKernel:
         else:
             self._masks = [0] * self.n
         self._enabled: set[int] = set()
-        # Object-statement side-car: the authoritative state objects
-        # (columns carry only the pure core the guards read).
-        self._objstates: list[NodeState] | None = None
-        self._objconfig: Configuration | None = None
+        #: ``id(expr) -> (expr, closure)`` for :meth:`host_edges`.
+        self._edge_preds: dict[int, tuple[Expr, Callable]] = {}
 
     # ------------------------------------------------------------------
     # Kernel interface (used by ColumnarRuntime)
@@ -353,19 +438,10 @@ class CompiledSpecKernel:
             self.cols = {**self.block.columns, **self._static_cols}
         else:
             self.block.load(configuration)
-        if self.spec.object_statements:
-            self._objstates = list(configuration.states)
-            self._objconfig = configuration
         self._enabled.clear()
         self._recompute_masks(range(self.n))
 
     def materialize(self) -> Configuration:
-        if self.spec.object_statements:
-            config = self._objconfig
-            if config is None:
-                config = Configuration(tuple(self._objstates))
-                self._objconfig = config
-            return config
         return self.block.materialize()
 
     def enabled_map(self) -> dict[int, list[Action]]:
@@ -407,24 +483,31 @@ class CompiledSpecKernel:
         return dict(zip(nodes, found))
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
-        """One computation step: simultaneous writes, dirty-region repair."""
-        if self.spec.object_statements:
-            return self._execute_selection_object(selection)
+        """One computation step: simultaneous writes, dirty-region repair.
+
+        Returns every written node; masks are repaired around the nodes
+        whose integer columns changed.
+        """
         # Phase 1: every statement reads the pre-step columns.
         pending = self.pending_updates(selection.items())
         # Phase 2: all writes land simultaneously.
         dirty = self.write_pending(pending)
         if dirty:
             rows, groups = pending
-            if groups:
+            if not groups:
+                self._refresh(dirty)
+            elif self.backend == "numpy":
                 # The vector path ran: hand mask repair an index array.
                 import numpy as np
 
-                parts = [idx for idx, _ in groups]
+                parts = [repair for _, _, repair in groups]
                 parts.append(np.array([p for p, _ in rows], dtype=np.int64))
                 self._refresh(np.concatenate(parts))
             else:
-                self._refresh(dirty)
+                repair = [p for p, _ in rows]
+                for _, _, part in groups:
+                    repair.extend(part)
+                self._refresh(repair)
         return dirty
 
     def pending_updates(self, items: Iterable[tuple[int, Action]]):
@@ -433,13 +516,14 @@ class CompiledSpecKernel:
         ``items`` is ``(node, action)`` pairs.  Returns ``(rows,
         groups)`` without writing anything: ``rows`` lists the changed
         scalar-path nodes as ``(node, new_row)``; ``groups`` lists each
-        vector-path group as ``(changed index array, [(field,
-        values)])``.  :meth:`write_pending` lands both.  Pure with
-        respect to kernel state (column reads stay within one hop of the
-        given nodes), which is what lets the region stepper evaluate
-        disjoint regions concurrently (DESIGN.md §14).  The vector path
-        is bit-identical to the scalar one because both interpret the
-        same IR over int64.
+        vector-path or host-hooked group as ``(written index array,
+        [(field, values)], mask-repair index array)``.
+        :meth:`write_pending` lands both.  Pure with respect to kernel
+        state when the spec has no host hooks (column reads stay within
+        one hop of the given nodes), which is what lets the region
+        stepper evaluate disjoint regions concurrently (DESIGN.md §14).
+        The vector path is bit-identical to the scalar one because both
+        interpret the same IR over int64.
         """
         role_keys = self._role_keys
         dispatch_by_role = self._dispatch
@@ -455,33 +539,41 @@ class CompiledSpecKernel:
                 nodes = by_action[key] = []
             nodes.append(p)
         rows: list[tuple[int, tuple[int, ...]]] = []
-        groups: list[tuple[object, list[tuple[str, object]]]] = []
+        groups: list[tuple[object, list[tuple[str, object]], object]] = []
         masks = self._masks
         bulk = self.spec.bulk_role
         for (role, name), nodes in by_action.items():
-            bit, updates = dispatch_by_role[role][name]
-            if self._vector and (
+            bit, updates, host = dispatch_by_role[role][name]
+            vector = self._vector and (
                 len(nodes) >= VECTOR_MIN_NODES
                 or (role != bulk and self._wide.intersection(nodes))
-            ):
+            )
+            if vector:
                 import numpy as np
 
                 at = np.array(nodes, dtype=np.int64)
                 # One vector check of the whole group's guard bit.
                 bad = at[(masks[at] >> bit & 1) == 0].tolist()
-                if not bad and updates:
-                    groups.append(
-                        self._updates_vectorized(at, self._aspecs[role][name])
-                    )
             else:
                 bad = [p for p in nodes if not masks[p] >> bit & 1]
-                if not bad and updates:
-                    rows.extend(self._updates_scalar(nodes, updates))
             if bad:
                 raise ProtocolError(
                     f"action {name!r} executed at node {min(bad)} "
                     f"while its guard is false"
                 )
+            aspec = self._aspecs[role][name]
+            if host is not None:
+                if vector:
+                    new = self._new_vectorized(at, aspec)
+                    groups.append(self._hosted(at, new, host))
+                else:
+                    groups.append(self._hosted_scalar(nodes, updates, host))
+            elif not updates:
+                continue
+            elif vector:
+                groups.append(self._updates_vectorized(at, aspec))
+            else:
+                rows.extend(self._updates_scalar(nodes, updates))
         return rows, groups
 
     def _updates_scalar(self, nodes, updates):
@@ -500,30 +592,122 @@ class CompiledSpecKernel:
                 out.append((p, after))
         return out
 
-    def _updates_vectorized(self, nodes, aspec):
-        """One action's statement over ``nodes`` as whole arrays.
+    def _new_vectorized(self, nodes, aspec) -> dict[str, object]:
+        """One action's IR updates over the ``nodes`` array, unfiltered.
 
-        Same IR, same int64 arithmetic as the scalar closures.  Returns
-        ``(changed index array, [(field, values at those indices)])``.
+        Same IR, same int64 arithmetic as the scalar closures: ``{field:
+        int64 array of new values aligned with nodes}``.
         """
         import numpy as np
 
-        A, vn, _truthy = self._vector_scope(nodes)
-        size = len(A)
-        cols = self.cols
-        new_vals: list[tuple[str, object]] = []
-        changed = np.zeros(size, dtype=bool)
+        scope = self._vector_scope(nodes)
+        size = len(nodes)
+        new: dict[str, object] = {}
         for fname, uexpr in aspec.updates.items():
-            vals = np.asarray(vn(uexpr))
+            vals = np.asarray(scope.vn(uexpr))
             if vals.ndim == 0:
                 vals = np.full(size, int(vals), dtype=np.int64)
             else:
                 vals = vals.astype(np.int64, copy=False)
-            changed |= vals != cols[fname][A]
-            new_vals.append((fname, vals))
+            new[fname] = vals
+        return new
+
+    def _updates_vectorized(self, nodes, aspec):
+        """One action's statement over the ``nodes`` array.
+
+        Returns ``(changed index array, [(field, values at those
+        indices)], changed index array)``.
+        """
+        import numpy as np
+
+        new = self._new_vectorized(nodes, aspec)
+        cols = self.cols
+        changed = np.zeros(len(nodes), dtype=bool)
+        for fname, vals in new.items():
+            changed |= vals != cols[fname][nodes]
         if changed.all():
-            return A, new_vals
-        return A[changed], [(fname, vals[changed]) for fname, vals in new_vals]
+            return nodes, list(new.items()), nodes
+        at = nodes[changed]
+        return at, [(f, vals[changed]) for f, vals in new.items()], at
+
+    def _hosted_scalar(self, nodes, updates, host):
+        """A host-hooked group whose IR runs through the scalar closures."""
+        cols = self.cols
+        names = [self.schema.names[i] for i, _ in updates]
+        columns: list[list[int]] = [[] for _ in updates]
+        for p in nodes:
+            memo: dict = {}
+            for (_, fn), out in zip(updates, columns):
+                out.append(int(fn(cols, p, memo)))
+        if self.backend == "numpy":
+            import numpy as np
+
+            idx = np.array(nodes, dtype=np.int64)
+            columns = [np.array(c, dtype=np.int64) for c in columns]
+        else:
+            idx = list(nodes)
+        return self._hosted(idx, dict(zip(names, columns)), host)
+
+    def _hosted(self, idx, new, host):
+        """Run ``host`` over one group and pair its payload with ``new``.
+
+        ``idx`` holds the group's nodes and ``new`` the IR's values for
+        them (int64 arrays on numpy, lists on the pure backend).
+        Returns the group's ``(written, [(field, values)], repair)``
+        entry: a node is written when an integer column or a payload
+        reference changes, and repaired only in the first case.
+        """
+        payload = self.block.payload
+        out = host(HostGroup(self, idx, new))
+        size = len(idx)
+        unknown = set(out) - set(payload)
+        if unknown or any(len(vals) != size for vals in out.values()):
+            raise ProtocolError(
+                f"host hook must return one value per node for payload "
+                f"fields only, got {sorted(out)}"
+            )
+        cols = self.cols
+        values = list(new.items())
+        if self.backend == "numpy":
+            import numpy as np
+
+            int_changed = np.zeros(size, dtype=bool)
+            for fname, vals in values:
+                int_changed |= vals != cols[fname][idx]
+            written = int_changed.copy()
+            for fname, vals in out.items():
+                if not (isinstance(vals, np.ndarray) and vals.dtype == object):
+                    vals = make_objects("numpy", vals)
+                current = payload[fname][idx].tolist()
+                written |= np.fromiter(
+                    map(_is_not, vals.tolist(), current), bool, count=size
+                )
+                values.append((fname, vals))
+            if written.all():
+                return idx, values, idx[int_changed]
+            return (
+                idx[written],
+                [(f, vals[written]) for f, vals in values],
+                idx[int_changed],
+            )
+        int_changed = [
+            any(vals[i] != cols[f][p] for f, vals in values)
+            for i, p in enumerate(idx)
+        ]
+        written = list(int_changed)
+        for fname, vals in out.items():
+            vals = list(vals)
+            current = payload[fname]
+            for i, p in enumerate(idx):
+                if vals[i] is not current[p]:
+                    written[i] = True
+            values.append((fname, vals))
+        keep = [i for i in range(size) if written[i]]
+        return (
+            [idx[i] for i in keep],
+            [(f, [vals[i] for i in keep]) for f, vals in values],
+            [p for p, changed in zip(idx, int_changed) if changed],
+        )
 
     def write_pending(self, pending) -> set[int]:
         """Phase 2: land :meth:`pending_updates`' writes; the dirty set.
@@ -534,78 +718,86 @@ class CompiledSpecKernel:
         rows, groups = pending
         block = self.block
         dirty: set[int] = set()
-        for idx, values in groups:
+        numpy = self.backend == "numpy"
+        for idx, values, _ in groups:
             if len(idx):
                 block.write_columns(idx, values)
-                dirty.update(idx.tolist())
+                dirty.update(idx.tolist() if numpy else idx)
         write_row = block.write_row
         for p, row in rows:
             write_row(p, row)
             dirty.add(p)
         return dirty
 
-    def _execute_selection_object(
-        self, selection: Mapping[int, Action]
-    ) -> set[int]:
-        """Compiled guards, object statements (impure-statement specs)."""
-        masks = self._masks
-        role_keys = self._role_keys
-        dispatch_by_role = self._dispatch
-        config = self.materialize()
-        network = self.network
-        pending: list[tuple[int, NodeState]] = []
-        for p, action in selection.items():
-            entry = dispatch_by_role[role_keys[p]].get(action.name)
-            if entry is None:
-                raise ProtocolError(
-                    f"action {action.name!r} is not in node {p}'s program"
-                )
-            bit, _ = entry
-            if not masks[p] >> bit & 1:
-                raise ProtocolError(
-                    f"action {action.name!r} executed at node {p} "
-                    f"while its guard is false"
-                )
-            state = action.statement(Context(p, network, config))
-            if state != config[p]:
-                pending.append((p, state))
-        if not pending:
-            return set()
-        encode = self.schema.encode_state
-        write_row = self.block.write_row
-        dirty = set()
-        for p, state in pending:
-            self._objstates[p] = state
-            write_row(p, encode(state))
-            dirty.add(p)
-        self._objconfig = None
-        self._refresh(dirty)
-        return dirty
-
     def apply_updates(self, updates: Mapping[int, NodeState]) -> set[int]:
         """Overwrite a subset of node states (targeted transient fault)."""
-        encode = self.schema.encode_state
-        write_row = self.block.write_row
+        schema = self.schema
+        block = self.block
+        payload_cols = [block.payload[name] for name in schema.payload]
         dirty = set()
-        if self.spec.object_statements:
-            for p, state in updates.items():
-                if state != self._objstates[p]:
-                    self._objstates[p] = state
-                    write_row(p, encode(state))
-                    dirty.add(p)
-            if dirty:
-                self._objconfig = None
-                self._refresh(dirty)
-            return dirty
-        read_row = self.block.read_row
+        repair = set()
         for p, state in updates.items():
-            row = encode(state)
-            if row != read_row(p):
-                write_row(p, row)
+            row = schema.encode_state(state)
+            values = schema.payload_of(state)
+            moved = row != block.read_row(p)
+            if moved or any(
+                v != col[p] for v, col in zip(values, payload_cols)
+            ):
+                block.write_row(p, row, values)
                 dirty.add(p)
-        if dirty:
-            self._refresh(dirty)
+                if moved:
+                    repair.add(p)
+        if repair:
+            self._refresh(repair)
         return dirty
+
+    def host_edges(self, nodes, where: Expr) -> tuple[list[int], list[int]]:
+        """The edges ``(p, q)``, ``q ∈ N(p)``, ``p ∈ nodes``, that
+        satisfy the fold-body predicate ``where``.
+
+        Returned as two lists (owners, neighbors), node by node and in
+        local order within a node — the order an object statement walks
+        ``ctx.neighbor_states()``.  ``where`` reads integer columns only
+        (IR cannot name payload fields); it runs through the vector
+        interpreter for large groups and wide nodes, else through a
+        compiled closure cached per expression.
+        """
+        cached = self._edge_preds.get(id(where))
+        if cached is None or cached[0] is not where:
+            _validate_expr(
+                NbrExists(where),
+                in_guard=False,
+                fields=self._fields,
+                where="host edge predicate",
+            )
+            cached = self._edge_preds[id(where)] = (
+                where,
+                self._compile_edge(where),
+            )
+        if not len(nodes):
+            return [], []
+        if self._vector and (
+            len(nodes) >= VECTOR_MIN_NODES or self._wide.intersection(nodes)
+        ):
+            import numpy as np
+
+            scope = self._vector_scope(nodes)
+            keep = np.broadcast_to(
+                scope.truthy(scope.ve(where)), scope.nbr.shape
+            )
+            return scope.owner[keep].tolist(), scope.nbr[keep].tolist()
+        pred = cached[1]
+        cols = self.cols
+        indptr, indices = self.csr.indptr, self.csr.indices
+        owners: list[int] = []
+        nbrs: list[int] = []
+        for p in nodes:
+            for i in range(indptr[p], indptr[p + 1]):
+                q = indices[i]
+                if pred(cols, p, q):
+                    owners.append(p)
+                    nbrs.append(q)
+        return owners, nbrs
 
     # ------------------------------------------------------------------
     # Mask maintenance
@@ -644,15 +836,7 @@ class CompiledSpecKernel:
                 D = dirty
             else:
                 D = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-            starts = indptr[D]
-            counts = indptr[D + 1] - starts
-            total = int(counts.sum())
-            offsets = np.cumsum(counts) - counts
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(offsets, counts)
-                + np.repeat(starts, counts)
-            )
+            _, _, pos = _csr_slices(indptr, D)
             marked = np.zeros(self.n, dtype=bool)
             marked[D] = True
             marked[indices[pos]] = True
@@ -712,10 +896,10 @@ class CompiledSpecKernel:
 
     def _mask_wide(self, p: int) -> int:
         """Node ``p``'s mask through the vector interpreter (one node)."""
-        A, vn, truthy = self._vector_scope([p])
+        scope = self._vector_scope([p])
         mask = 0
         for bit, aspec in enumerate(self.spec.programs[self._role_keys[p]]):
-            if bool(truthy(vn(aspec.guard)).all()):
+            if bool(scope.truthy(scope.vn(aspec.guard)).all()):
                 mask |= 1 << bit
         return mask
 
@@ -950,11 +1134,13 @@ class CompiledSpecKernel:
     def _vector_scope(self, nodes):
         """Build the whole-region evaluation scope over ``nodes``.
 
-        Returns ``(A, vn, truthy)``: the node-id array, the memoized
-        owner-scope evaluator (guards *and* statement updates interpret
-        through it), and the boolean coercion helper.  Shared by
-        :meth:`_masks_vectorized` and :meth:`_updates_vectorized` so the
-        two vectorized interpreters cannot drift apart.
+        Returns a :class:`_Scope`: the node-id array ``A``, the memoized
+        owner-scope evaluator ``vn`` (guards *and* statement updates
+        interpret through it), the fold-body evaluator ``ve`` over the
+        gathered edges ``(owner, nbr)``, and the boolean coercion
+        helper.  Shared by :meth:`_masks_vectorized`,
+        :meth:`_new_vectorized` and :meth:`host_edges` so the vectorized
+        interpreters cannot drift apart.
         """
         import numpy as np
 
@@ -963,18 +1149,8 @@ class CompiledSpecKernel:
         cols = {
             name: np.asarray(col) for name, col in self.cols.items()
         }
-        starts = indptr[A]
-        counts = indptr[A + 1] - starts
-        offsets = np.zeros(len(A), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        total_edges = int(offsets[-1] + counts[-1])
-        # Edge positions: node i's CSR slice, concatenated in order
-        # (zero-degree nodes simply contribute no edges).
-        pos = (
-            np.arange(total_edges, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
-        )
+        counts, offsets, pos = _csr_slices(indptr, A)
+        total_edges = len(pos)
         nbr = indices[pos]
         owner = np.repeat(A, counts)
         node_memo: dict[int, object] = {}
@@ -1159,12 +1335,13 @@ class CompiledSpecKernel:
                 f"unsupported IR node in a fold body: {type(expr).__name__}"
             )
 
-        return A, vn, truthy
+        return _Scope(A, vn, ve, truthy, owner, nbr)
 
     def _masks_vectorized(self, nodes):
         import numpy as np
 
-        A, vn, truthy = self._vector_scope(nodes)
+        scope = self._vector_scope(nodes)
+        A, vn, truthy = scope.A, scope.vn, scope.truthy
         program = self.spec.programs[self.spec.bulk_role]
         masks = np.zeros(len(A), dtype=np.int64)
         for bit, aspec in enumerate(program):

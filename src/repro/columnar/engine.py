@@ -70,8 +70,8 @@ class ColumnarRuntime:
         """Whether lockstep validation may re-execute selections.
 
         False for the object bridge (nothing columnar to cross-check)
-        and for compiled kernels with object statements (impure
-        statements — payload envelopes — must run exactly once; a
+        and for compiled kernels with host hooks (an impure hook — a
+        payload root stamping its envelope — must run exactly once; a
         validation re-execution would itself perturb application
         state and then diverge on object identity).
         """
@@ -104,17 +104,17 @@ class ColumnarRuntime:
         self.kernel = kernel
         self.compiled = compiled
         # Region-parallel stepping needs a compiled kernel whose
-        # statements are confined to array slices; object-statement
-        # specs and the bridge keep the serial path.  Rebuilt on every
-        # recompile so topology churn recomputes regions against the
-        # new CSR index.
+        # statements are confined to array slices; specs with host hooks
+        # (which may be impure) and the bridge keep the serial path.
+        # Rebuilt on every recompile so topology churn recomputes
+        # regions against the new CSR index.
         self._stepper = None
         spec = getattr(kernel, "spec", None)
         if (
             self.region_parallel
             and compiled
             and spec is not None
-            and not spec.object_statements
+            and not spec.has_host_hooks
             and hasattr(kernel, "pending_updates")
         ):
             self._stepper = RegionStepper(kernel, self.region_threads)

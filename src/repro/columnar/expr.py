@@ -347,11 +347,22 @@ class ActionSpec:
     owner-scope expressions producing the *encoded* new value — columns
     absent from ``updates`` keep their pre-step value, mirroring
     ``state.replace(...)`` statements.
+
+    ``host`` is an optional hook for the schema's payload fields, which
+    the IR cannot express.  In phase 1 of a step the kernel calls it
+    once per action group, after the IR updates, with a
+    :class:`~repro.columnar.compiler.HostGroup` (the group's nodes, the
+    pre-step columns and payload, the IR's new values); it returns
+    ``{payload field: one value per node}``, landed in phase 2 with
+    the integer writes.  A hook may be impure (a payload PIF's root
+    stamps a fresh envelope), so a spec with hooks opts out of
+    successor lockstep validation and of region-parallel stepping.
     """
 
     name: str
     guard: Expr
     updates: Mapping[str, Expr] = field(default_factory=dict)
+    host: Callable[[Any], Mapping[str, Any]] | None = None
 
 
 @dataclass(frozen=True)
@@ -377,13 +388,6 @@ class ColumnarSpec:
         Extra read-only columns derived from the network at compile
         time, ``{name: network -> values}`` — e.g. a fixed tree's
         parent pointers.  Names must not collide with schema columns.
-    object_statements:
-        When true, guards run compiled but statements execute through
-        the protocol's object :class:`~repro.runtime.protocol.Action`
-        path (for statements that are impure or carry non-columnar
-        state, like the payload PIF's envelopes).  Successor lockstep
-        validation is skipped for such kernels — re-executing impure
-        statements would itself perturb application state.
     """
 
     schema: Any
@@ -391,4 +395,12 @@ class ColumnarSpec:
     roles: Callable[[int], str]
     bulk_role: str
     statics: Mapping[str, Callable[[Any], Sequence[int]]] | None = None
-    object_statements: bool = False
+
+    @property
+    def has_host_hooks(self) -> bool:
+        """Whether any action carries a (possibly impure) host hook."""
+        return any(
+            a.host is not None
+            for program in self.programs.values()
+            for a in program
+        )

@@ -26,20 +26,41 @@ Note: the outbox read makes the root's B-action *impure* with respect to
 the protocol object (deliberately — applications swap the outbox between
 waves).  Use the plain :class:`~repro.core.pif.SnapPif` for model
 checking.
+
+On the columnar engine the PIF core runs fully compiled
+(:func:`~repro.core.pif.snap_pif_spec`); ``msg`` and ``ack`` are payload
+fields of :data:`PAYLOAD_PIF_COLUMNS`, and three host hooks compute them
+per action group: the root's B stamps the envelope, a joining B gathers
+its new parent's ``msg``, and an F folds the acks of its children.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Sequence
 
+from repro.columnar.expr import And, Const, Eq, Nbr, NodeId
+from repro.columnar.schema import ColumnSchema
 from repro.core.pif import SnapPif, snap_pif_spec
-from repro.core.state import Phase, PifConstants, PifState
+from repro.core.state import (
+    PHASE_CODES,
+    PIF_COLUMNS,
+    Phase,
+    PifConstants,
+    PifState,
+)
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Context
 
-__all__ = ["Envelope", "NO_ACK", "PayloadPifState", "PayloadSnapPif", "TaggedAck"]
+__all__ = [
+    "Envelope",
+    "NO_ACK",
+    "PAYLOAD_PIF_COLUMNS",
+    "PayloadPifState",
+    "PayloadSnapPif",
+    "TaggedAck",
+]
 
 
 class _NoAck:
@@ -104,6 +125,21 @@ class PayloadPifState(PifState):
 
     msg: object = None
     ack: object = NO_ACK
+
+
+#: The columnar layout of :class:`PayloadPifState`: the five PIF
+#: columns, plus ``msg`` and ``ack`` held by reference.
+PAYLOAD_PIF_COLUMNS = ColumnSchema(
+    state_type=PayloadPifState,
+    fields=PIF_COLUMNS.fields,
+    payload=("msg", "ack"),
+)
+
+#: Fold-body predicate of an F-action's fold: neighbor ``q`` is a child
+#: of the folding node that has fed back (``Par_q = p ∧ Pif_q = F``).
+_CHILD_FED_BACK = And(
+    Eq(Nbr("par"), NodeId()), Eq(Nbr("pif"), Const(PHASE_CODES[Phase.F]))
+)
 
 
 def _local_value_default(node: int) -> object:
@@ -222,20 +258,81 @@ class PayloadSnapPif(SnapPif):
     # Columnar form
     # ------------------------------------------------------------------
     def columnar_spec(self):
-        """The pure PIF core compiled, statements left to the objects.
+        """The compiled PIF core plus three payload host hooks.
 
-        Guards are untouched by :meth:`_wrap` — they read only the five
-        core PIF columns — so mask evaluation runs fully compiled.
-        Statements are impure (outbox reads, identity-compared
-        envelopes, wave bookkeeping) and cannot live in integer
-        columns, so the spec declares ``object_statements=True``: the
-        kernel keeps the authoritative :class:`PayloadPifState` objects
-        in a side-car and executes the wrapped object statements,
-        encoding only the pure core back into the columns.
+        Guards and the integer statements are :func:`snap_pif_spec`
+        unchanged — the wrapped actions read and write the same five
+        columns.  ``msg`` and ``ack`` are payload fields, computed per
+        action group by :meth:`_stamp_host` (root B), :meth:`_join_host`
+        (B elsewhere) and :meth:`_fold_host` (every F), which do what
+        :meth:`_wrap`'s statements do, node for node.
         """
         if type(self) is not PayloadSnapPif:
             return None
-        return snap_pif_spec(self.constants, object_statements=True)
+        hosts = {
+            ("root", "B-action"): self._stamp_host,
+            ("node", "B-action"): self._join_host,
+            ("root", "F-action"): self._fold_host,
+            ("node", "F-action"): self._fold_host,
+        }
+        spec = snap_pif_spec(self.constants)
+        programs = {
+            role: tuple(
+                replace(a, host=hosts.get((role, a.name))) for a in program
+            )
+            for role, program in spec.programs.items()
+        }
+        return replace(spec, schema=PAYLOAD_PIF_COLUMNS, programs=programs)
+
+    def _stamp_host(self, group) -> dict[str, object]:
+        """Root B: start a wave and stamp its fresh envelope."""
+        self.waves_started += 1
+        self._current_envelope = Envelope(self.outbox)
+        return {
+            "msg": group.fill(self._current_envelope),
+            "ack": group.fill(NO_ACK),
+        }
+
+    def _join_host(self, group) -> dict[str, object]:
+        """Joining B: copy the chosen parent's ``msg`` (one gather)."""
+        msg = group.payload["msg"]
+        return {
+            "msg": group.take(msg, group.new["par"]),
+            "ack": group.fill(NO_ACK),
+        }
+
+    def _fold_host(self, group) -> dict[str, object]:
+        """F: fold holders of the current envelope, ``NO_ACK`` elsewhere.
+
+        A holder's fold is ``[local_value(p)]`` plus the acks of its
+        children that fed back in this epoch, in local order — the list
+        :meth:`_wrap`'s statement builds — so neither ``local_value``
+        nor ``combine`` ever runs for a stale node or sees a stale ack.
+        """
+        nodes = group.nodes
+        acks: list[object] = [NO_ACK] * len(nodes)
+        envelope = self._current_envelope
+        if envelope is None:
+            return {"ack": acks}
+        msg = group.payload["msg"]
+        holders = [i for i, p in enumerate(nodes) if msg[p] is envelope]
+        if not holders:
+            return {"ack": acks}
+        epoch = self.waves_started
+        ack = group.payload["ack"]
+        children: dict[int, list[object]] = {}
+        for p, q in zip(
+            *group.edges([nodes[i] for i in holders], _CHILD_FED_BACK)
+        ):
+            tagged = ack[q]
+            if isinstance(tagged, TaggedAck) and tagged.epoch == epoch:
+                children.setdefault(p, []).append(tagged.value)
+        for i in holders:
+            p = nodes[i]
+            values = [self.local_value(p)]
+            values.extend(children.get(p, ()))
+            acks[i] = TaggedAck(epoch, self.combine(values))
+        return {"ack": acks}
 
     # ------------------------------------------------------------------
     # State constructors

@@ -55,9 +55,7 @@ from repro.runtime.state import Configuration
 __all__ = ["SnapPif", "snap_pif_spec"]
 
 
-def snap_pif_spec(
-    constants: PifConstants, *, object_statements: bool = False
-) -> ColumnarSpec:
+def snap_pif_spec(constants: PifConstants) -> ColumnarSpec:
     """Algorithms 1 and 2 as guard-expression IR.
 
     The declarative form of what ``snap_pif_kernel.py`` used to
@@ -203,7 +201,6 @@ def snap_pif_spec(
         programs={"root": tuple(root_actions), "node": tuple(node_actions)},
         roles=lambda p: "root" if p == root else "node",
         bulk_role="node",
-        object_statements=object_statements,
     )
 
 

@@ -73,9 +73,9 @@ class RegionStepper:
     """Partition–execute–merge driver over one compiled kernel.
 
     Only built for :class:`~repro.columnar.compiler.CompiledSpecKernel`
-    instances with compiled statements (``object_statements`` specs and
-    the object bridge keep the serial path — their statements are not
-    confined to array slices).
+    instances whose statements are all compiled IR (specs with host
+    hooks and the object bridge keep the serial path — their statements
+    are not confined to array slices).
     """
 
     def __init__(self, kernel, threads: int) -> None:

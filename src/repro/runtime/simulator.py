@@ -590,9 +590,9 @@ class Simulator:
             after = self._columnar.configuration() if need_objects else None
             # Successor validation only applies to kernels that opt in:
             # the object bridge *is* the object path, and kernels with
-            # object statements (which protocols may make impure) must
-            # not re-execute them — that would itself perturb
-            # application state.
+            # host hooks (which protocols may make impure) must not
+            # re-execute them — that would itself perturb application
+            # state.
             if self.validate_engine and self._columnar.validates_successor:
                 self._check_columnar_successor(before, selection, after, dirty)
         else:

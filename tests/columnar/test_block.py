@@ -210,6 +210,80 @@ class TestDecodeMemo:
         assert PIF_COLUMNS.names is PIF_COLUMNS.names
 
 
+@pytest.mark.parametrize("backend", ACTIVE_BACKENDS)
+class TestPayloadFields:
+    """Object-valued payload columns: stored, gathered and decoded by
+    reference, never encoded."""
+
+    @staticmethod
+    def _block(backend: str):
+        from repro.core.payload import PAYLOAD_PIF_COLUMNS, PayloadSnapPif
+
+        net = ring(6)
+        protocol = PayloadSnapPif.for_network(net)
+        config = protocol.random_configuration(net, Random(2))
+        return ColumnBlock(PAYLOAD_PIF_COLUMNS, backend, config), config
+
+    def test_payload_is_not_an_int_column(self, backend: str) -> None:
+        block, config = self._block(backend)
+        assert set(block.payload) == {"msg", "ack"}
+        assert "msg" not in block.columns
+        assert block.read_row(2) == PIF_COLUMNS.encode_state(config[2])
+        assert block.materialize() is config
+
+    def test_writes_keep_identity_and_decode_unhashable(
+        self, backend: str
+    ) -> None:
+        block, config = self._block(backend)
+        reports = [{p: ("report", p)} for p in range(6)]  # unhashable
+        idx = [1, 3, 4]
+        values = [reports[p] for p in idx]
+        if backend == "numpy":
+            import numpy as np
+
+            from repro.columnar.backend import make_objects
+
+            idx = np.array(idx, dtype=np.int64)
+            values = make_objects(backend, values)
+        block.write_columns(idx, [("ack", values)])
+        after = block.materialize()
+        for p in (1, 3, 4):
+            assert after[p].ack is reports[p]
+            assert after[p].msg is config[p].msg
+            assert after[p].pif is config[p].pif
+        for p in (0, 2, 5):
+            assert after[p] is config[p]
+
+    def test_gather_copies_references(self, backend: str) -> None:
+        from repro.core.payload import Envelope
+
+        block, _ = self._block(backend)
+        envelope = Envelope("wave")
+        block.write_row(0, block.read_row(0), (envelope, None))
+        msg = block.payload["msg"]
+        if backend == "numpy":
+            import numpy as np
+
+            gathered = msg[np.array([0, 0, 0])]
+        else:
+            gathered = [msg[q] for q in (0, 0, 0)]
+        assert all(m is envelope for m in gathered)
+        assert block.materialize()[0].msg is envelope
+
+    def test_equal_payload_values_are_distinct_keys(
+        self, backend: str
+    ) -> None:
+        # Equal but distinct payload objects must not share a decode:
+        # envelopes are compared by identity.
+        from repro.core.payload import PAYLOAD_PIF_COLUMNS
+
+        row = (2, 1, 1, 1, 0)
+        a = PAYLOAD_PIF_COLUMNS.decode_row(row, ({"x": 1}, None))
+        b = PAYLOAD_PIF_COLUMNS.decode_row(row, ({"x": 1}, None))
+        assert a == b and a is not b and a.msg is not b.msg
+        assert PAYLOAD_PIF_COLUMNS.decode_row(row, (a.msg, None)) is a
+
+
 class TestCSRIndex:
     def test_preserves_local_neighbor_order(self) -> None:
         net = by_name("random-dense", 10)

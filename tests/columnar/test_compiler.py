@@ -3,8 +3,8 @@
 ``tests/columnar/test_kernel.py`` pins the snap PIF's compiled kernel to
 the object oracle; this module does the same for every *other* protocol
 that now declares a :meth:`~repro.runtime.protocol.Protocol.columnar_spec`
-(``SelfStabPif``, ``TreePif``, ``SpanningTree`` and the payload PIF's
-hybrid object-statement mode), plus the compiler's own edge cases:
+(``SelfStabPif``, ``TreePif``, ``SpanningTree``; the payload PIF has
+``tests/columnar/test_payload.py``), plus the compiler's own edge cases:
 
 * ``segment_reduce`` on empty CSR segments — a degree-0 node's fold must
   yield the identity without corrupting the *preceding* segment (plain
@@ -27,7 +27,7 @@ from repro.columnar import numpy_available
 from repro.core.pif import SnapPif
 from repro.graphs import by_name
 from repro.protocols import SelfStabPif, SpanningTree, TreePif, TreeStackPif
-from repro.runtime.daemons import CentralDaemon, DistributedRandomDaemon
+from repro.runtime.daemons import CentralDaemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Protocol
 from repro.runtime.simulator import Simulator
@@ -283,44 +283,6 @@ class TestKernelInvalidationOnChurn:
             if sim.step() is None:
                 break
         assert protocol.enabled_map(sim.configuration, churned) == sim._enabled
-
-
-@pytest.mark.parametrize("backend", ACTIVE_BACKENDS)
-class TestPayloadHybridKernel:
-    """Guards compiled, statements through the objects, exactly once."""
-
-    def test_columnar_run_matches_incremental(
-        self, backend: str, monkeypatch
-    ) -> None:
-        from repro.core.payload import PayloadSnapPif
-
-        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", backend)
-        net = by_name("random-tree", 9)
-        outcomes = {}
-        for engine in ("incremental", "columnar"):
-            protocol = PayloadSnapPif.for_network(net)
-            protocol.outbox = "broadcast-me"
-            sim = Simulator(
-                protocol,
-                net,
-                DistributedRandomDaemon(0.5),
-                configuration=protocol.random_configuration(net, Random(8)),
-                seed=19,
-                trace_level="selections",
-                engine=engine,
-                validate_engine=(engine == "columnar"),
-            )
-            result = sim.run(max_steps=150)
-            outcomes[engine] = (
-                result.steps,
-                result.moves,
-                result.action_counts,
-                sim.trace.schedule(),
-                protocol.waves_started,
-                protocol.delivered_messages(sim.configuration),
-                protocol.root_result(sim.configuration),
-            )
-        assert outcomes["columnar"] == outcomes["incremental"]
 
 
 @pytest.mark.parametrize("backend", ACTIVE_BACKENDS)

@@ -225,7 +225,7 @@ class TestBridgeFallback:
         )
         assert runtime.compiled is True
 
-    def test_payload_protocol_compiles_with_object_statements(self) -> None:
+    def test_payload_protocol_compiles_with_host_hooks(self) -> None:
         from repro.core.payload import PayloadSnapPif
 
         net = ring(5)
@@ -234,8 +234,8 @@ class TestBridgeFallback:
             protocol, net, protocol.initial_configuration(net)
         )
         assert runtime.compiled is True
-        # Impure statements must run exactly once: the lockstep
-        # validator may check enabled maps but not re-execute.
+        # The root's impure hook must run exactly once per step: the
+        # lockstep validator may check enabled maps but not re-execute.
         assert runtime.validates_successor is False
 
 

@@ -161,7 +161,7 @@ class TestCompileGating:
         protocol = SnapPif.for_network(net)
         assert protocol.compile_columnar(net, "pure") is not None
 
-    def test_payload_subclass_compiles_with_object_statements(self) -> None:
+    def test_payload_subclass_compiles_with_host_hooks(self) -> None:
         from repro.core.payload import PayloadSnapPif
 
         net = ring(5)

@@ -99,6 +99,9 @@ class TestSubmission:
                     service.submit("gossip", "star")
                 with pytest.raises(WaveRequestError):
                     service.submit("infimum", "star", {"op": "median"})
+                for op in (["min"], {"op": "min"}):
+                    with pytest.raises(WaveRequestError, match="infimum op"):
+                        service.submit("infimum", "star", {"op": op})
                 return service.stats()
 
         stats = asyncio.run(scenario())

@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(WaveRequestError, match="infimum op"):
             validate_wave_args("infimum", {"op": "median"})
 
+    @pytest.mark.parametrize("op", [["min"], {"min": 1}, 3, None])
+    def test_non_string_infimum_op_rejected(self, op):
+        # An unhashable op must be rejected by type, not escape as a
+        # TypeError from the dict lookup.
+        with pytest.raises(WaveRequestError, match="infimum op"):
+            validate_wave_args("infimum", {"op": op})
+
     def test_non_integer_offset_rejected(self):
         with pytest.raises(WaveRequestError, match="offset"):
             validate_wave_args("infimum", {"offset": "two"})
