@@ -125,10 +125,22 @@ class BroadcastService:
                 f"broadcast wave did not complete within {result.steps} steps"
             )
         report = self.monitor.completed_cycles[-1]
-        final = self.simulator.configuration
+        # The columnar engine answers from its payload columns, so a
+        # served wave decodes no configuration.
+        simulator = self.simulator
+        protocol = self.protocol
+        messages = simulator.payload_column("msg")
+        if messages is None:
+            final = simulator.configuration
+            root_result = protocol.root_result(final)
+            delivered = protocol.delivered_messages(final)
+        else:
+            acks = simulator.payload_column("ack")
+            root_result = protocol.result_of_ack(acks[protocol.constants.root])
+            delivered = protocol.unwrap_messages(messages)
         return WaveOutcome(
             value=value,
-            result=self.protocol.root_result(final),
-            delivered=self.protocol.delivered_messages(final),
+            result=root_result,
+            delivered=delivered,
             report=report,
         )

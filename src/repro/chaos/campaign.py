@@ -277,9 +277,13 @@ def run_chaos(
                 },
             }
         )
+        index = record.index
+        # A record still held at the next step's write would have its
+        # lazy ``after`` decoded first (columnar array steps).
+        del record
         run.violation = _first_violation(monitor)
         if run.violation is not None:
-            run.violation_step = record.index
+            run.violation_step = index
             break
 
     run.steps = sim.steps

@@ -19,6 +19,13 @@ Unwritten nodes keep their exact state objects, and the assembled
 returns the *same* configuration object, preserving the identity
 guarantee the incremental engine's dirty-set filtering established.
 
+:meth:`ColumnBlock.snapshot` hands out the same configuration without
+decoding it: a :class:`~repro.runtime.state.LazyConfiguration` that
+decodes on first read.  The block keeps a weak reference to it, and
+every write first resolves it if it is still referenced, so a snapshot
+nobody keeps costs nothing and one somebody keeps shows its own
+version; once resolved it *is* the block's cached configuration.
+
 Payload fields of the schema live in :attr:`ColumnBlock.payload`, one
 reference per node (a list on the pure backend, a ``dtype=object``
 ndarray on numpy); they are written through the same two calls and
@@ -27,11 +34,12 @@ decoded alongside the integer columns.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 from repro.columnar.backend import make_column, make_objects
 from repro.columnar.schema import ColumnSchema
-from repro.runtime.state import Configuration, NodeState
+from repro.runtime.state import Configuration, LazyConfiguration, NodeState
 
 __all__ = ["ColumnBlock"]
 
@@ -57,6 +65,7 @@ class ColumnBlock:
         "_targets",
         "_states",
         "_config",
+        "_lazy",
         "_stale",
         "_stale_arrays",
         "_stale_count",
@@ -91,6 +100,8 @@ class ColumnBlock:
         # source configuration (no decode needed until a write).
         self._states: list[NodeState] = list(configuration.states)
         self._config: Configuration | None = configuration
+        #: Weak reference to the unresolved snapshot of this version.
+        self._lazy: weakref.ref | None = None
         self._clear_stale()
 
     # ------------------------------------------------------------------
@@ -106,6 +117,16 @@ class ColumnBlock:
         self._stale_arrays: list = []
         self._stale_count = 0
         self._all_stale = False
+
+    def settle(self) -> None:
+        """Resolve a snapshot of this version still held somewhere
+        (before every write, and before the block is dropped)."""
+        ref = self._lazy
+        if ref is not None:
+            lazy = ref()
+            if lazy is not None and not lazy.resolved:
+                lazy.resolve()
+            self._lazy = None
 
     def _note_stale(self, count: int) -> None:
         self._config = None
@@ -130,6 +151,7 @@ class ColumnBlock:
         ``payload``, when given, holds the new payload values in schema
         order.
         """
+        self.settle()
         for col, value in zip(self._cols, row):
             col[p] = value
         for col, value in zip(self._payload_cols, payload):
@@ -151,6 +173,7 @@ class ColumnBlock:
         size = len(idx)
         if not size:
             return
+        self.settle()
         columns = self._targets
         if self.backend == "numpy":
             for name, vals in values:
@@ -206,9 +229,39 @@ class ColumnBlock:
         config = self._config
         if config is None:
             self._refresh()
-            config = Configuration(tuple(self._states))
+            states = tuple(self._states)
+            ref = self._lazy
+            lazy = ref() if ref is not None else None
+            self._lazy = None
+            if lazy is not None and not lazy.resolved:
+                # A snapshot of this version is out: it becomes the
+                # cached object, so both views stay one object.
+                lazy.resolve(states)
+                config = lazy
+            else:
+                config = Configuration(states)
             self._config = config
         return config
+
+    def snapshot(self, source=None) -> Configuration:
+        """This version as a configuration, decoded only when read.
+
+        Returns the cached configuration when there is one, else a
+        :class:`~repro.runtime.state.LazyConfiguration` — the same
+        object until the next write, at which point the block resolves
+        it first if anything still references it.  ``source`` is what
+        the snapshot calls to resolve (default :meth:`materialize`; it
+        must end in this block's :meth:`materialize`).
+        """
+        config = self._config
+        if config is not None:
+            return config
+        ref = self._lazy
+        lazy = ref() if ref is not None else None
+        if lazy is None:
+            lazy = LazyConfiguration(source or self.materialize)
+            self._lazy = weakref.ref(lazy)
+        return lazy
 
     def load(self, configuration: Configuration) -> None:
         """Re-encode every column from ``configuration`` (transient fault)."""
@@ -217,6 +270,7 @@ class ColumnBlock:
                 f"configuration has {len(configuration)} states for an "
                 f"{self.n}-node block"
             )
+        self.settle()
         for f, column in zip(self.schema.fields, self._cols):
             encode = f.encode
             for p, state in enumerate(configuration.states):
@@ -226,4 +280,5 @@ class ColumnBlock:
                 column[p] = getattr(state, name)
         self._states = list(configuration.states)
         self._config = configuration
+        self._lazy = None
         self._clear_stale()

@@ -39,7 +39,17 @@ is interpreted over arrays and yields ``(changed index array,
 Phase 2 (:meth:`CompiledSpecKernel.write_pending`) lands each vector
 group with one ``col[idx] = vals`` per field.  Mask repair then gathers
 ``dirty ∪ N(dirty)`` from the CSR index and re-evaluates it the same
-two ways.
+two ways; a non-bulk node inside a vector repair evaluates its own
+role's program in a one-node scope sliced out of the region's, so the
+folds over its edges that the bulk program already computed are reused.
+
+On the numpy backend a daemon may select straight from the mask array
+(:meth:`CompiledSpecKernel.first_selection`): each node's first enabled
+action is the lowest set bit of its mask, so the selection arrives
+grouped by ``(role, action)`` as an
+:class:`~repro.runtime.selection.ArraySelection`, and
+:meth:`CompiledSpecKernel.execute_array` runs the same two phases on
+those groups without forming them again (DESIGN.md §11).
 
 Actions with a host hook (:class:`~repro.columnar.expr.ActionSpec`)
 also compute the schema's payload fields: phase 1 calls the hook once
@@ -56,7 +66,7 @@ from __future__ import annotations
 import time
 import weakref
 from operator import is_not as _is_not
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from repro import telemetry as _telemetry
 from repro.columnar.backend import make_column, make_objects
@@ -93,6 +103,7 @@ from repro.columnar.expr import (
 from repro.errors import ProtocolError
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Protocol
+from repro.runtime.selection import ArraySelection, StepGroup
 from repro.runtime.state import Configuration, NodeState
 from repro.telemetry.registry import TIME_BOUNDS
 
@@ -183,15 +194,253 @@ def _csr_slices(indptr, nodes):
     return counts, offsets, pos
 
 
-class _Scope(NamedTuple):
-    """One whole-region vector evaluation scope (see ``_vector_scope``)."""
+class _VectorScope:
+    """One whole-region vector evaluation scope (see
+    :meth:`CompiledSpecKernel._vector_scope`).
 
-    A: object
-    vn: Callable
-    ve: Callable
-    truthy: Callable
-    owner: object
-    nbr: object
+    A plain object, not a set of closures: mutually recursive closures
+    form a reference cycle, which only the cyclic collector frees, so
+    every scope's gathered arrays and memoized intermediates would
+    outlive the step until a collection — and an array-native step
+    allocates too few Python objects to trigger one often.
+    """
+
+    __slots__ = (
+        "cols",
+        "A",
+        "counts",
+        "offsets",
+        "total_edges",
+        "nbr",
+        "owner",
+        "node_memo",
+        "edge_memo",
+        "_seed",
+    )
+
+    def __init__(self, cols, A, counts, offsets, nbr, owner, seed=None):
+        self.cols = cols
+        self.A = A
+        self.counts = counts
+        self.offsets = offsets
+        self.total_edges = len(nbr)
+        self.nbr = nbr
+        self.owner = owner
+        #: ``id(expr) -> value`` over ``A`` and over the gathered edges.
+        self.node_memo: dict[int, object] = {}
+        self.edge_memo: dict[int, object] = {}
+        #: ``(enclosing scope, node position, edge span)`` of a one-node
+        #: scope sliced out of a larger one.
+        self._seed = seed
+
+    @staticmethod
+    def truthy(x):
+        import numpy as np
+
+        arr = np.asarray(x)
+        return arr if arr.dtype == np.bool_ else arr != 0
+
+    def as_edges(self, x):
+        import numpy as np
+
+        arr = np.asarray(x)
+        if arr.ndim == 0:
+            return np.full(self.total_edges, arr.item(), dtype=np.int64)
+        return arr
+
+    def _seeded(self, memo_name: str, key: int):
+        """The enclosing scope's value for ``key``, sliced to this node."""
+        import numpy as np
+
+        within, at, span = self._seed
+        value = getattr(within, memo_name).get(key, _MISSING)
+        if isinstance(value, np.ndarray) and value.ndim:
+            return value[at if memo_name == "node_memo" else span]
+        return value
+
+    def vn(self, expr: Expr):
+        """Owner scope: arrays over A (or numpy/python scalars)."""
+        key = id(expr)
+        memo = self.node_memo
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            if self._seed is not None:
+                out = self._seeded("node_memo", key)
+            if out is _MISSING:
+                out = self._vn_eval(expr)
+            memo[key] = out
+        return out
+
+    def _vn_eval(self, expr: Expr):
+        import numpy as np
+
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Own):
+            return self.cols[expr.field][self.A]
+        if isinstance(expr, NodeId):
+            return self.A
+        if isinstance(expr, Ptr):
+            ptr = self.cols[expr.ptr_field][self.A]
+            safe = np.where(ptr < 0, 0, ptr)
+            return self.cols[expr.field][safe]
+        if isinstance(expr, And):
+            out = self.truthy(self.vn(expr.args[0]))
+            for a in expr.args[1:]:
+                out = out & self.truthy(self.vn(a))
+            return out
+        if isinstance(expr, Or):
+            out = self.truthy(self.vn(expr.args[0]))
+            for a in expr.args[1:]:
+                out = out | self.truthy(self.vn(a))
+            return out
+        if isinstance(expr, Not):
+            return ~self.truthy(self.vn(expr.arg))
+        if isinstance(expr, Eq):
+            return self.vn(expr.a) == self.vn(expr.b)
+        if isinstance(expr, Ne):
+            return self.vn(expr.a) != self.vn(expr.b)
+        if isinstance(expr, Lt):
+            return self.vn(expr.a) < self.vn(expr.b)
+        if isinstance(expr, Le):
+            return self.vn(expr.a) <= self.vn(expr.b)
+        if isinstance(expr, Gt):
+            return self.vn(expr.a) > self.vn(expr.b)
+        if isinstance(expr, Ge):
+            return self.vn(expr.a) >= self.vn(expr.b)
+        if isinstance(expr, Add):
+            return self.vn(expr.a) + self.vn(expr.b)
+        if isinstance(expr, Sub):
+            return self.vn(expr.a) - self.vn(expr.b)
+        if isinstance(expr, Min2):
+            return np.minimum(self.vn(expr.a), self.vn(expr.b))
+        if isinstance(expr, NbrExists):
+            pred = self.as_edges(self.truthy(self.ve(expr.pred)))
+            return segment_reduce(
+                np.bitwise_or, pred, self.offsets, self.counts, False
+            )
+        if isinstance(expr, NbrAll):
+            pred = self.as_edges(self.truthy(self.ve(expr.pred)))
+            return segment_reduce(
+                np.bitwise_and, pred, self.offsets, self.counts, True
+            )
+        if isinstance(expr, NbrSum):
+            vals = self._fold_values(expr, 0)
+            return segment_reduce(np.add, vals, self.offsets, self.counts, 0)
+        if isinstance(expr, NbrMin):
+            vals = self._fold_values(expr, _BIG)
+            m = segment_reduce(
+                np.minimum, vals, self.offsets, self.counts, _BIG
+            )
+            empty = m == _BIG
+            if not empty.any():
+                return m
+            if expr.default is None:
+                bad = int(self.A[np.nonzero(empty)[0][0]])
+                raise ProtocolError(
+                    f"NbrMin fold at node {bad} matched no neighbor "
+                    f"and has no default"
+                )
+            return np.where(empty, self.vn(expr.default), m)
+        if isinstance(expr, NbrArgMinFirst):
+            if self.total_edges == 0:
+                return np.full(len(self.A), -1, dtype=np.int64)
+            vals = self._fold_values(expr, _BIG)
+            m = segment_reduce(
+                np.minimum, vals, self.offsets, self.counts, _BIG
+            )
+            m_edge = np.repeat(m, self.counts)
+            pos_in_slice = np.arange(
+                self.total_edges, dtype=np.int64
+            ) - np.repeat(self.offsets, self.counts)
+            cand = np.where(
+                (vals == m_edge) & (vals != _BIG), pos_in_slice, _BIG
+            )
+            best = segment_reduce(
+                np.minimum, cand, self.offsets, self.counts, _BIG
+            )
+            found = best != _BIG
+            idx = self.offsets + np.where(found, best, 0)
+            idx = np.minimum(idx, self.total_edges - 1)
+            return np.where(found, self.nbr[idx], -1)
+        raise ProtocolError(
+            f"unsupported IR node in owner scope: {type(expr).__name__}"
+        )
+
+    def _fold_values(self, fold, fill: int):
+        """A fold's int64 ``value`` per edge, ``fill`` where its
+        ``where`` is false."""
+        import numpy as np
+
+        vals = self.as_edges(self.ve(fold.value)).astype(np.int64, copy=False)
+        if fold.where is not None:
+            keep = self.as_edges(self.truthy(self.ve(fold.where)))
+            vals = np.where(keep, vals, fill)
+        return vals
+
+    def ve(self, expr: Expr):
+        """Fold-body scope: arrays over the gathered edges."""
+        key = id(expr)
+        memo = self.edge_memo
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            if self._seed is not None:
+                out = self._seeded("edge_memo", key)
+            if out is _MISSING:
+                out = self._ve_eval(expr)
+            memo[key] = out
+        return out
+
+    def _ve_eval(self, expr: Expr):
+        import numpy as np
+
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Nbr):
+            return self.cols[expr.field][self.nbr]
+        if isinstance(expr, NbrId):
+            return self.nbr
+        if isinstance(expr, Own):
+            return self.cols[expr.field][self.owner]
+        if isinstance(expr, NodeId):
+            return self.owner
+        if isinstance(expr, Ptr):
+            ptr = self.cols[expr.ptr_field][self.owner]
+            safe = np.where(ptr < 0, 0, ptr)
+            return self.cols[expr.field][safe]
+        if isinstance(expr, And):
+            out = self.truthy(self.ve(expr.args[0]))
+            for a in expr.args[1:]:
+                out = out & self.truthy(self.ve(a))
+            return out
+        if isinstance(expr, Or):
+            out = self.truthy(self.ve(expr.args[0]))
+            for a in expr.args[1:]:
+                out = out | self.truthy(self.ve(a))
+            return out
+        if isinstance(expr, Not):
+            return ~self.truthy(self.ve(expr.arg))
+        if isinstance(expr, Eq):
+            return self.ve(expr.a) == self.ve(expr.b)
+        if isinstance(expr, Ne):
+            return self.ve(expr.a) != self.ve(expr.b)
+        if isinstance(expr, Lt):
+            return self.ve(expr.a) < self.ve(expr.b)
+        if isinstance(expr, Le):
+            return self.ve(expr.a) <= self.ve(expr.b)
+        if isinstance(expr, Gt):
+            return self.ve(expr.a) > self.ve(expr.b)
+        if isinstance(expr, Ge):
+            return self.ve(expr.a) >= self.ve(expr.b)
+        if isinstance(expr, Add):
+            return self.ve(expr.a) + self.ve(expr.b)
+        if isinstance(expr, Sub):
+            return self.ve(expr.a) - self.ve(expr.b)
+        if isinstance(expr, Min2):
+            return np.minimum(self.ve(expr.a), self.ve(expr.b))
+        raise ProtocolError(
+            f"unsupported IR node in a fold body: {type(expr).__name__}"
+        )
 
 
 class HostGroup:
@@ -346,6 +595,17 @@ class CompiledSpecKernel:
         ]
         #: Whether the numpy interpreters may run at all.
         self._vector = backend == "numpy" and self.n > 1
+        #: Action names per role, in mask-bit order.
+        self._names = {
+            role: tuple(a.name for a in program)
+            for role, program in programs.items()
+        }
+        if backend == "numpy":
+            import numpy as np
+
+            self._nonbulk_arr = np.array(self._nonbulk, dtype=np.int64)
+            self._is_nonbulk = np.zeros(self.n, dtype=bool)
+            self._is_nonbulk[self._nonbulk_arr] = True
         #: Non-bulk nodes whose folds are wide enough to evaluate as
         #: arrays even alone (a star's root folds over every leaf).
         self._wide = (
@@ -444,22 +704,24 @@ class CompiledSpecKernel:
     def materialize(self) -> Configuration:
         return self.block.materialize()
 
-    def enabled_map(self) -> dict[int, list[Action]]:
+    def enabled_map(self, nodes=None) -> dict[int, list[Action]]:
         """``{node: enabled actions}`` in ascending node order.
 
         Byte-identical (same keys, same order, same ``Action`` objects)
         to :meth:`Protocol.enabled_map` on the materialized
         configuration — the property the lockstep validator asserts.
-        A node's list is memoized per mask and shared between steps,
-        as the incremental engine shares unchanged entries; callers
-        must not mutate it (``Simulator.enabled()`` hands out copies).
+        ``nodes``, an ascending index array of enabled nodes (numpy
+        backend), restricts the map to them.  A node's list is memoized
+        per mask and shared between steps, as the incremental engine
+        shares unchanged entries; callers must not mutate it
+        (``Simulator.enabled()`` hands out copies).
         """
         masks = self._masks
         width = self._mask_width
         if self.backend == "numpy":
             import numpy as np
 
-            on = np.flatnonzero(masks)
+            on = np.flatnonzero(masks) if nodes is None else nodes
             nodes = on.tolist()
             keys = ((on << width) | masks[on]).tolist()
         else:
@@ -482,6 +744,92 @@ class CompiledSpecKernel:
                     ]
         return dict(zip(nodes, found))
 
+    # ------------------------------------------------------------------
+    # Array-native steps (numpy backend; see repro.runtime.selection)
+    # ------------------------------------------------------------------
+    def enabled_nodes(self):
+        """Ascending index array of the nodes with a nonzero mask."""
+        import numpy as np
+
+        return np.flatnonzero(self._masks)
+
+    def enabled_flags(self):
+        """Boolean array: which nodes have a nonzero mask."""
+        return self._masks != 0
+
+    def writes(self, role: str, action: str, field: str) -> bool:
+        """Whether ``action`` of ``role`` updates column ``field``."""
+        return field in self._aspecs[role][action].updates
+
+    def action_at(self, p: int, bit: int) -> Action:
+        """Node ``p``'s action for mask bit ``bit``."""
+        return self.protocol.node_actions(p, self.network)[bit]
+
+    def first_selection(self, nodes) -> ArraySelection:
+        """Select ``nodes`` (ascending index array), each with its first
+        enabled action — the lowest set bit of its mask — grouped by
+        ``(role, action)``, groups ordered by their first node."""
+        masks = self._masks
+        role_keys = self._role_keys
+        names = self._names
+        cols = self.cols
+        found: dict[tuple[str, int], list[int]] = {}
+        groups: list[StepGroup] = []
+        if len(nodes) < VECTOR_MIN_NODES:
+            single = nodes.tolist()
+        else:
+            import numpy as np
+
+            low = masks[nodes]
+            low &= -low
+            single = []
+            if len(self._nonbulk):
+                odd = self._is_nonbulk[nodes]
+                if odd.any():
+                    single = nodes[odd].tolist()
+                    keep = ~odd
+                    nodes, low = nodes[keep], low[keep]
+            bulk = self.spec.bulk_role
+            for bit in range(self._mask_width):
+                idx = nodes[low == 1 << bit]
+                if len(idx):
+                    if len(idx) < VECTOR_MIN_NODES:
+                        idx = idx.tolist()
+                    groups.append(
+                        StepGroup(bulk, names[bulk][bit], bit, idx, cols)
+                    )
+        for p in single:
+            m = int(masks[p])
+            key = (role_keys[p], (m & -m).bit_length() - 1)
+            members = found.get(key)
+            if members is None:
+                found[key] = [p]
+            else:
+                members.append(p)
+        for (role, bit), members in found.items():
+            groups.append(
+                StepGroup(role, names[role][bit], bit, members, cols)
+            )
+        if len(groups) > 1:
+            groups.sort(key=lambda g: int(g.idx[0]))
+        return ArraySelection(self, groups, self.spec.join_columns)
+
+    def execute_array(self, selection: ArraySelection, dirty=None) -> int:
+        """One computation step of an :class:`ArraySelection`.
+
+        The same two phases and mask repair as
+        :meth:`execute_selection`, over the selection's groups as they
+        are.  Returns how many nodes were written; ``dirty``, when
+        given, is a set that receives them.
+        """
+        pending = self._phase1(
+            (g.role, g.name, g.idx) for g in selection.groups
+        )
+        written = self._land(pending, dirty)
+        if written:
+            self._repair(pending)
+        return written
+
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         """One computation step: simultaneous writes, dirty-region repair.
 
@@ -493,22 +841,25 @@ class CompiledSpecKernel:
         # Phase 2: all writes land simultaneously.
         dirty = self.write_pending(pending)
         if dirty:
-            rows, groups = pending
-            if not groups:
-                self._refresh(dirty)
-            elif self.backend == "numpy":
-                # The vector path ran: hand mask repair an index array.
-                import numpy as np
-
-                parts = [repair for _, _, repair in groups]
-                parts.append(np.array([p for p, _ in rows], dtype=np.int64))
-                self._refresh(np.concatenate(parts))
-            else:
-                repair = [p for p, _ in rows]
-                for _, _, part in groups:
-                    repair.extend(part)
-                self._refresh(repair)
+            self._repair(pending)
         return dirty
+
+    def _repair(self, pending) -> None:
+        """Mask repair after :meth:`write_pending` landed ``pending``."""
+        rows, groups = pending
+        if self.backend == "numpy" and groups:
+            # The vector path ran: hand mask repair an index array.
+            import numpy as np
+
+            parts = [repair for _, _, repair in groups]
+            if rows:
+                parts.append(np.array([p for p, _ in rows], dtype=np.int64))
+            self._refresh(np.concatenate(parts))
+            return
+        repair = [p for p, _ in rows]
+        for _, _, part in groups:
+            repair.extend(part)
+        self._refresh(repair)
 
     def pending_updates(self, items: Iterable[tuple[int, Action]]):
         """Phase 1 of a step: statements evaluated on pre-step columns.
@@ -538,11 +889,19 @@ class CompiledSpecKernel:
                     )
                 nodes = by_action[key] = []
             nodes.append(p)
+        return self._phase1(
+            (role, name, nodes) for (role, name), nodes in by_action.items()
+        )
+
+    def _phase1(self, groups):
+        """:meth:`pending_updates` over ``(role, action name, nodes)``
+        groups."""
         rows: list[tuple[int, tuple[int, ...]]] = []
-        groups: list[tuple[object, list[tuple[str, object]], object]] = []
+        out: list[tuple[object, list[tuple[str, object]], object]] = []
         masks = self._masks
         bulk = self.spec.bulk_role
-        for (role, name), nodes in by_action.items():
+        dispatch_by_role = self._dispatch
+        for role, name, nodes in groups:
             bit, updates, host = dispatch_by_role[role][name]
             vector = self._vector and (
                 len(nodes) >= VECTOR_MIN_NODES
@@ -551,7 +910,7 @@ class CompiledSpecKernel:
             if vector:
                 import numpy as np
 
-                at = np.array(nodes, dtype=np.int64)
+                at = np.asarray(nodes, dtype=np.int64)
                 # One vector check of the whole group's guard bit.
                 bad = at[(masks[at] >> bit & 1) == 0].tolist()
             else:
@@ -565,16 +924,16 @@ class CompiledSpecKernel:
             if host is not None:
                 if vector:
                     new = self._new_vectorized(at, aspec)
-                    groups.append(self._hosted(at, new, host))
+                    out.append(self._hosted(at, new, host))
                 else:
-                    groups.append(self._hosted_scalar(nodes, updates, host))
+                    out.append(self._hosted_scalar(nodes, updates, host))
             elif not updates:
                 continue
             elif vector:
-                groups.append(self._updates_vectorized(at, aspec))
+                out.append(self._updates_vectorized(at, aspec))
             else:
                 rows.extend(self._updates_scalar(nodes, updates))
-        return rows, groups
+        return rows, out
 
     def _updates_scalar(self, nodes, updates):
         """Changed ``(node, row)`` pairs of one action, closure by closure."""
@@ -715,19 +1074,29 @@ class CompiledSpecKernel:
         Vector groups land as one whole-column assignment per field,
         scalar rows one row at a time.  Masks are not repaired here.
         """
+        dirty: set[int] = set()
+        self._land(pending, dirty)
+        return dirty
+
+    def _land(self, pending, dirty=None) -> int:
+        """:meth:`write_pending` returning the written count; ``dirty``,
+        when given, is a set that receives the written nodes."""
         rows, groups = pending
         block = self.block
-        dirty: set[int] = set()
         numpy = self.backend == "numpy"
+        written = len(rows)
         for idx, values, _ in groups:
             if len(idx):
                 block.write_columns(idx, values)
-                dirty.update(idx.tolist() if numpy else idx)
+                written += len(idx)
+                if dirty is not None:
+                    dirty.update(idx.tolist() if numpy else idx)
         write_row = block.write_row
         for p, row in rows:
             write_row(p, row)
-            dirty.add(p)
-        return dirty
+        if dirty is not None:
+            dirty.update(p for p, _ in rows)
+        return written
 
     def apply_updates(self, updates: Mapping[int, NodeState]) -> set[int]:
         """Overwrite a subset of node states (targeted transient fault)."""
@@ -1131,229 +1500,80 @@ class CompiledSpecKernel:
     # ------------------------------------------------------------------
     # Vectorized mask evaluation (numpy backend, large regions)
     # ------------------------------------------------------------------
-    def _vector_scope(self, nodes):
+    def _vector_scope(self, nodes, within: "_VectorScope | None" = None):
         """Build the whole-region evaluation scope over ``nodes``.
 
-        Returns a :class:`_Scope`: the node-id array ``A``, the memoized
-        owner-scope evaluator ``vn`` (guards *and* statement updates
-        interpret through it), the fold-body evaluator ``ve`` over the
-        gathered edges ``(owner, nbr)``, and the boolean coercion
-        helper.  Shared by :meth:`_masks_vectorized`,
+        Returns a :class:`_VectorScope`: the node-id array ``A``, the
+        memoized owner-scope evaluator ``vn`` (guards *and* statement
+        updates interpret through it), the fold-body evaluator ``ve``
+        over the gathered edges ``(owner, nbr)``, and the boolean
+        coercion helper.  Shared by :meth:`_masks_vectorized`,
         :meth:`_new_vectorized` and :meth:`host_edges` so the vectorized
         interpreters cannot drift apart.
+
+        With ``within``, ``nodes`` is one position ``i`` of that scope's
+        ``A`` and the result covers that node alone, on slices of the
+        enclosing scope's arrays: whatever the enclosing scope already
+        evaluated is sliced, not recomputed (a star root's program
+        reuses the folds the leaves' program computed over its edges).
         """
         import numpy as np
 
-        indptr, indices = self.csr.as_numpy()
-        A = np.asarray(nodes, dtype=np.int64)
         cols = {
             name: np.asarray(col) for name, col in self.cols.items()
         }
-        counts, offsets, pos = _csr_slices(indptr, A)
-        total_edges = len(pos)
-        nbr = indices[pos]
-        owner = np.repeat(A, counts)
-        node_memo: dict[int, object] = {}
-        edge_memo: dict[int, object] = {}
-
-        def truthy(x):
-            arr = np.asarray(x)
-            return arr if arr.dtype == np.bool_ else arr != 0
-
-        def as_edges(x):
-            arr = np.asarray(x)
-            if arr.ndim == 0:
-                return np.full(total_edges, arr.item(), dtype=np.int64)
-            return arr
-
-        def vn(expr: Expr):
-            """Owner scope: arrays over A (or numpy/python scalars)."""
-            key = id(expr)
-            cached = node_memo.get(key, _MISSING)
-            if cached is not _MISSING:
-                return cached
-            out = _vn_eval(expr)
-            node_memo[key] = out
-            return out
-
-        def _vn_eval(expr: Expr):
-            if isinstance(expr, Const):
-                return expr.value
-            if isinstance(expr, Own):
-                return cols[expr.field][A]
-            if isinstance(expr, NodeId):
-                return A
-            if isinstance(expr, Ptr):
-                ptr = cols[expr.ptr_field][A]
-                safe = np.where(ptr < 0, 0, ptr)
-                return cols[expr.field][safe]
-            if isinstance(expr, And):
-                out = truthy(vn(expr.args[0]))
-                for a in expr.args[1:]:
-                    out = out & truthy(vn(a))
-                return out
-            if isinstance(expr, Or):
-                out = truthy(vn(expr.args[0]))
-                for a in expr.args[1:]:
-                    out = out | truthy(vn(a))
-                return out
-            if isinstance(expr, Not):
-                return ~truthy(vn(expr.arg))
-            if isinstance(expr, Eq):
-                return vn(expr.a) == vn(expr.b)
-            if isinstance(expr, Ne):
-                return vn(expr.a) != vn(expr.b)
-            if isinstance(expr, Lt):
-                return vn(expr.a) < vn(expr.b)
-            if isinstance(expr, Le):
-                return vn(expr.a) <= vn(expr.b)
-            if isinstance(expr, Gt):
-                return vn(expr.a) > vn(expr.b)
-            if isinstance(expr, Ge):
-                return vn(expr.a) >= vn(expr.b)
-            if isinstance(expr, Add):
-                return vn(expr.a) + vn(expr.b)
-            if isinstance(expr, Sub):
-                return vn(expr.a) - vn(expr.b)
-            if isinstance(expr, Min2):
-                return np.minimum(vn(expr.a), vn(expr.b))
-            if isinstance(expr, NbrExists):
-                pred = as_edges(truthy(ve(expr.pred)))
-                return segment_reduce(
-                    np.bitwise_or, pred, offsets, counts, False
-                )
-            if isinstance(expr, NbrAll):
-                pred = as_edges(truthy(ve(expr.pred)))
-                return segment_reduce(
-                    np.bitwise_and, pred, offsets, counts, True
-                )
-            if isinstance(expr, NbrSum):
-                vals = as_edges(ve(expr.value)).astype(np.int64, copy=False)
-                if expr.where is not None:
-                    vals = np.where(as_edges(truthy(ve(expr.where))), vals, 0)
-                return segment_reduce(np.add, vals, offsets, counts, 0)
-            if isinstance(expr, NbrMin):
-                vals = as_edges(ve(expr.value)).astype(np.int64, copy=False)
-                if expr.where is not None:
-                    vals = np.where(
-                        as_edges(truthy(ve(expr.where))), vals, _BIG
-                    )
-                m = segment_reduce(np.minimum, vals, offsets, counts, _BIG)
-                empty = m == _BIG
-                if not empty.any():
-                    return m
-                if expr.default is None:
-                    bad = int(A[np.nonzero(empty)[0][0]])
-                    raise ProtocolError(
-                        f"NbrMin fold at node {bad} matched no neighbor "
-                        f"and has no default"
-                    )
-                return np.where(empty, vn(expr.default), m)
-            if isinstance(expr, NbrArgMinFirst):
-                if total_edges == 0:
-                    return np.full(len(A), -1, dtype=np.int64)
-                vals = as_edges(ve(expr.value)).astype(np.int64, copy=False)
-                if expr.where is not None:
-                    vals = np.where(
-                        as_edges(truthy(ve(expr.where))), vals, _BIG
-                    )
-                m = segment_reduce(np.minimum, vals, offsets, counts, _BIG)
-                m_edge = np.repeat(m, counts)
-                pos_in_slice = np.arange(
-                    total_edges, dtype=np.int64
-                ) - np.repeat(offsets, counts)
-                cand = np.where(
-                    (vals == m_edge) & (vals != _BIG), pos_in_slice, _BIG
-                )
-                best = segment_reduce(
-                    np.minimum, cand, offsets, counts, _BIG
-                )
-                found = best != _BIG
-                idx = offsets + np.where(found, best, 0)
-                idx = np.minimum(idx, total_edges - 1)
-                return np.where(found, nbr[idx], -1)
-            raise ProtocolError(
-                f"unsupported IR node in owner scope: {type(expr).__name__}"
+        if within is None:
+            indptr, indices = self.csr.as_numpy()
+            A = np.asarray(nodes, dtype=np.int64)
+            counts, offsets, pos = _csr_slices(indptr, A)
+            return _VectorScope(
+                cols, A, counts, offsets, indices[pos], np.repeat(A, counts)
             )
-
-        def ve(expr: Expr):
-            """Fold-body scope: arrays over the gathered edges."""
-            key = id(expr)
-            cached = edge_memo.get(key, _MISSING)
-            if cached is not _MISSING:
-                return cached
-            out = _ve_eval(expr)
-            edge_memo[key] = out
-            return out
-
-        def _ve_eval(expr: Expr):
-            if isinstance(expr, Const):
-                return expr.value
-            if isinstance(expr, Nbr):
-                return cols[expr.field][nbr]
-            if isinstance(expr, NbrId):
-                return nbr
-            if isinstance(expr, Own):
-                return cols[expr.field][owner]
-            if isinstance(expr, NodeId):
-                return owner
-            if isinstance(expr, Ptr):
-                ptr = cols[expr.ptr_field][owner]
-                safe = np.where(ptr < 0, 0, ptr)
-                return cols[expr.field][safe]
-            if isinstance(expr, And):
-                out = truthy(ve(expr.args[0]))
-                for a in expr.args[1:]:
-                    out = out & truthy(ve(a))
-                return out
-            if isinstance(expr, Or):
-                out = truthy(ve(expr.args[0]))
-                for a in expr.args[1:]:
-                    out = out | truthy(ve(a))
-                return out
-            if isinstance(expr, Not):
-                return ~truthy(ve(expr.arg))
-            if isinstance(expr, Eq):
-                return ve(expr.a) == ve(expr.b)
-            if isinstance(expr, Ne):
-                return ve(expr.a) != ve(expr.b)
-            if isinstance(expr, Lt):
-                return ve(expr.a) < ve(expr.b)
-            if isinstance(expr, Le):
-                return ve(expr.a) <= ve(expr.b)
-            if isinstance(expr, Gt):
-                return ve(expr.a) > ve(expr.b)
-            if isinstance(expr, Ge):
-                return ve(expr.a) >= ve(expr.b)
-            if isinstance(expr, Add):
-                return ve(expr.a) + ve(expr.b)
-            if isinstance(expr, Sub):
-                return ve(expr.a) - ve(expr.b)
-            if isinstance(expr, Min2):
-                return np.minimum(ve(expr.a), ve(expr.b))
-            raise ProtocolError(
-                f"unsupported IR node in a fold body: {type(expr).__name__}"
-            )
-
-        return _Scope(A, vn, ve, truthy, owner, nbr)
+        i = nodes
+        start = int(within.offsets[i])
+        span = slice(start, start + int(within.counts[i]))
+        return _VectorScope(
+            cols,
+            within.A[i : i + 1],
+            within.counts[i : i + 1],
+            np.zeros(1, dtype=np.int64),
+            within.nbr[span],
+            within.owner[span],
+            seed=(within, slice(i, i + 1), span),
+        )
 
     def _masks_vectorized(self, nodes):
         import numpy as np
 
         scope = self._vector_scope(nodes)
+        programs = self.spec.programs
+        masks = self._program_masks(scope, programs[self.spec.bulk_role])
+        if not len(self._nonbulk):
+            return masks
+        # Nodes outside the bulk role (typically just the root) run
+        # their own role's program, each in a one-node scope sliced out
+        # of this one, so what the bulk program already evaluated over
+        # their edges is reused rather than gathered again.
+        A = scope.A
+        targets = self._nonbulk_arr
+        at = np.minimum(np.searchsorted(A, targets), len(A) - 1)
+        hit = A[at] == targets
+        role_keys = self._role_keys
+        for p, i in zip(targets[hit].tolist(), at[hit].tolist()):
+            one = self._vector_scope(i, within=scope)
+            masks[i] = self._program_masks(one, programs[role_keys[p]])[0]
+        return masks
+
+    @staticmethod
+    def _program_masks(scope, program):
+        """Every scope node's mask under ``program``'s guards."""
+        import numpy as np
+
         A, vn, truthy = scope.A, scope.vn, scope.truthy
-        program = self.spec.programs[self.spec.bulk_role]
         masks = np.zeros(len(A), dtype=np.int64)
         for bit, aspec in enumerate(program):
             g = np.broadcast_to(truthy(vn(aspec.guard)), A.shape)
             masks |= g.astype(np.int64) << bit
-        # Nodes outside the bulk role (typically just the root) run a
-        # different program: overwrite them one by one.
-        size = len(A)
-        for p in self._nonbulk:
-            idx = int(np.searchsorted(A, p))
-            if idx < size and int(A[idx]) == p:
-                masks[idx] = self._mask_one(p)
         return masks
 
 

@@ -31,6 +31,7 @@ from repro.regions import (
 )
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Protocol
+from repro.runtime.selection import ArraySelection
 from repro.runtime.state import Configuration, NodeState
 
 __all__ = ["ColumnarRuntime"]
@@ -135,15 +136,65 @@ class ColumnarRuntime:
 
     def rebuild(self, network: Network, configuration: Configuration) -> None:
         """Recompile for a changed topology, then load ``configuration``."""
+        block = getattr(self.kernel, "block", None)
+        if block is not None:
+            # Snapshots resolve through this runtime, which is about to
+            # hold a different block.
+            block.settle()
         self._compile(self.kernel.protocol, network, configuration)
 
     def configuration(self) -> Configuration:
         return self.kernel.materialize()
 
+    def snapshot(self) -> Configuration:
+        """The current configuration, decoded only when read (see
+        :meth:`~repro.columnar.block.ColumnBlock.snapshot`)."""
+        block = getattr(self.kernel, "block", None)
+        if block is None:
+            return self.kernel.materialize()
+        # Resolving goes through configuration(), so every decode a
+        # snapshot causes is a configuration() call.
+        return block.snapshot(self.configuration)
+
+    def payload(self, name: str) -> list | None:
+        """Every node's current value of payload field ``name``, read
+        from its column without decoding; ``None`` if the compiled
+        schema has no such field (or nothing is compiled)."""
+        block = getattr(self.kernel, "block", None)
+        if block is None or name not in block.payload:
+            return None
+        column = block.payload[name]
+        return column if isinstance(column, list) else column.tolist()
+
+    @property
+    def array_kernel(self):
+        """The kernel when steps may run on index arrays, else ``None``.
+
+        That takes the numpy backend, a compiled kernel and serial
+        stepping (the region stepper consumes dict selections).
+        """
+        if (
+            self.backend == "numpy"
+            and self.compiled
+            and self._stepper is None
+        ):
+            return self.kernel
+        return None
+
     def enabled_map(self) -> dict[int, list[Action]]:
         return self.kernel.enabled_map()
 
-    def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
+    def execute_selection(
+        self, selection: Mapping[int, Action], dirty: set[int] | None = None
+    ):
+        """One computation step; returns the written nodes as a set.
+
+        An :class:`~repro.runtime.selection.ArraySelection` (an array
+        step) returns how many nodes were written instead, and fills
+        ``dirty`` with them when it is given.
+        """
+        if isinstance(selection, ArraySelection):
+            return self.kernel.execute_array(selection, dirty)
         if self._stepper is not None and selection:
             return self._stepper.execute_selection(selection)
         return self.kernel.execute_selection(selection)

@@ -388,6 +388,13 @@ class ColumnarSpec:
         Extra read-only columns derived from the network at compile
         time, ``{name: network -> values}`` — e.g. a fixed tree's
         parent pointers.  Names must not collide with schema columns.
+    join_columns:
+        ``(parent, level)``: the columns a joining node's ``B-action``
+        writes with the parent the protocol's ``join_parent`` picks on
+        the pre-step configuration, and with its new level.  Declaring
+        them lets :class:`~repro.core.monitor.PifCycleMonitor` judge
+        array steps from the written values (DESIGN.md §11); lockstep
+        validation checks the claim every step.
     """
 
     schema: Any
@@ -395,6 +402,7 @@ class ColumnarSpec:
     roles: Callable[[int], str]
     bulk_role: str
     statics: Mapping[str, Callable[[Any], Sequence[int]]] | None = None
+    join_columns: tuple[str, str] | None = None
 
     @property
     def has_host_hooks(self) -> bool:

@@ -190,15 +190,36 @@ class PifCycleMonitor:
         """
         self.network = network
 
+    def array_feed(self, protocol, network: Network, spec) -> bool:
+        """Whether :meth:`on_step` can judge steps from ``record.columns``.
+
+        True when the simulated ``protocol`` is this monitor's on the
+        same network and its columnar ``spec`` names the columns its
+        B-action writes with the parent ``join_parent`` picks on the
+        pre-step configuration and the joiner's level
+        (``ColumnarSpec.join_columns``).  The simulator then runs such
+        steps on index arrays and calls :meth:`on_step` with ``before``
+        and ``after`` set to ``None``.
+        """
+        return (
+            protocol is self.protocol
+            and network == self.network
+            and getattr(spec, "join_columns", None) is not None
+        )
+
     def on_step(
-        self, before: Configuration, record: StepRecord, after: Configuration
+        self,
+        before: Configuration | None,
+        record: StepRecord,
+        after: Configuration | None,
     ) -> None:
         self._rounds_seen += record.rounds_completed
         root = self.protocol.root
         selection = record.selection
+        root_action = selection.get(root)
 
         if self._active is None:
-            if selection.get(root) == "B-action":
+            if root_action == "B-action":
                 self._begin_wave(record)
             return
 
@@ -211,53 +232,158 @@ class PifCycleMonitor:
         # same step belong to no wave — a simultaneous non-root B-action
         # can only be attaching to stale garbage, since the root was not
         # broadcasting in the pre-step configuration.
-        if root in selection:
-            self._observe_root(selection[root], record, after)
+        if root_action is not None:
+            self._observe_root(root_action, record)
             if self._active is None:
                 return
-        # Non-root moves in ascending node order.  Only joins,
-        # acknowledgments and demotions bear on the verdict; the other
-        # moves (Fok, Count, C) need no look.  Quarantined processors
-        # are outside the judged subtree: they neither join the wave
-        # nor owe receipt/acknowledgment, and their demotions are
-        # expected, not violations.
-        in_wave = self._in_wave
-        quarantine = self.quarantine
-        network = self.network
-        join_parent = self.protocol.join_parent
-        for node, action in sorted(selection.items()):
-            if node == root:
-                continue
-            if action == "F-action":
-                if node in in_wave:
-                    report.acked.add(node)
-            elif action == "B-action":
-                if node in quarantine:
-                    continue
-                # A processor attaching to a stale tree did not receive
-                # m; nothing to record (PIF1 accounting catches it).
-                if join_parent(Context(node, network, before)) in in_wave:
-                    in_wave.add(node)
-                    report.received.add(node)
-                    state = after[node]
-                    if (
-                        isinstance(state, PifState)
-                        and state.level > report.height
-                    ):
-                        report.height = state.level
-            elif action in _DEMOTIONS:
-                if node in in_wave:
-                    self._violate(
-                        report,
-                        f"wave member {node} was demoted by {action} "
-                        f"(a legitimate wave member must never turn "
-                        f"abnormal)",
-                    )
-                    in_wave.discard(node)
+        if record.columns is not None:
+            moves = self._moves_from_columns(record.columns)
+        else:
+            moves = self._moves_from_objects(selection, before, after)
+        self._judge(report, *moves)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _moves_from_objects(self, selection, before, after):
+        """The non-root moves that bear on the verdict, from the
+        selection and the two configurations.
+
+        Returns ``(acks, joiners, parents, levels, demotions)``: the
+        F-action nodes, the non-quarantined B-action nodes ascending
+        with the parent ``join_parent`` picks on ``before`` and their
+        level in ``after``, and ``(node, action)`` for demotions,
+        ascending.  Fok, Count and C moves need no look.
+        """
+        root = self.protocol.root
+        quarantine = self.quarantine
+        acks: list[int] = []
+        joiners: list[int] = []
+        demotions: list[tuple[int, str]] = []
+        for node, action in sorted(selection.items()):
+            if node == root:
+                continue
+            if action == "F-action":
+                acks.append(node)
+            elif action == "B-action":
+                if node not in quarantine:
+                    joiners.append(node)
+            elif action in _DEMOTIONS:
+                demotions.append((node, action))
+        network = self.network
+        join_parent = self.protocol.join_parent
+        parents = [join_parent(Context(q, network, before)) for q in joiners]
+        levels = []
+        for q in joiners:
+            state = after[q]
+            levels.append(state.level if isinstance(state, PifState) else 0)
+        return acks, joiners, parents, levels, demotions
+
+    def _moves_from_columns(self, columns):
+        """:meth:`_moves_from_objects` from an array step's action
+        groups: a joiner's parent and level are the values its B-action
+        group wrote to ``columns.join_columns``."""
+        root = self.protocol.root
+        quarantine = self.quarantine
+        parent_col, level_col = columns.join_columns
+        acks: list[int] = []
+        joins: list[tuple[list[int], list[int], list[int]]] = []
+        demotions: list[tuple[int, str]] = []
+        for group in columns.groups:
+            name = group.name
+            if name == "F-action":
+                acks.extend(group.nodes())
+            elif name == "B-action":
+                nodes = group.nodes()
+                parents = group.values(parent_col)
+                levels = group.values(level_col)
+                if root in nodes or quarantine:
+                    keep = [
+                        i
+                        for i, q in enumerate(nodes)
+                        if q != root and q not in quarantine
+                    ]
+                    nodes = [nodes[i] for i in keep]
+                    parents = [parents[i] for i in keep]
+                    levels = [levels[i] for i in keep]
+                joins.append((nodes, parents, levels))
+            elif name in _DEMOTIONS:
+                demotions.extend((q, name) for q in group.nodes() if q != root)
+        if root in acks:
+            acks.remove(root)
+        if len(joins) == 1:
+            joiners, parents, levels = joins[0]
+        else:
+            merged = sorted(
+                item for nodes, ps, ls in joins for item in zip(nodes, ps, ls)
+            )
+            joiners = [q for q, _, _ in merged]
+            parents = [p for _, p, _ in merged]
+            levels = [lv for _, _, lv in merged]
+        demotions.sort()
+        return acks, joiners, parents, levels, demotions
+
+    def _judge(self, report, acks, joiners, parents, levels, demotions):
+        """Apply one step's non-root moves to the wave in progress.
+
+        The verdict is that of walking the moves in ascending node
+        order: a join counts when its parent is a wave member at that
+        point of the walk.  A wave member demoted, or a node joining,
+        at a lower id in the same step changes that, so such steps take
+        the walk; otherwise every parent's membership is the pre-step
+        one and the joins are judged together.  Quarantined processors
+        are outside the judged subtree: they neither join the wave nor
+        owe receipt/acknowledgment, and their demotions are expected,
+        not violations (the callers leave them out of ``joiners``).
+        """
+        in_wave = self._in_wave
+        # A node's own membership changes only through its own move,
+        # so acknowledgments need no ordering.
+        if acks:
+            report.acked.update(in_wave.intersection(acks))
+        demoted = [(q, action) for q, action in demotions if q in in_wave]
+        ordered = bool(demoted)
+        if joiners and not ordered:
+            ordered = not set(joiners).isdisjoint(parents)
+        if ordered:
+            walk = sorted(
+                [(q, 0, i) for i, q in enumerate(joiners)]
+                + [(q, 1, action) for q, action in demoted]
+            )
+            for q, kind, item in walk:
+                if kind == 0:
+                    if parents[item] in in_wave:
+                        self._join(report, [q], [levels[item]])
+                elif q in in_wave:
+                    self._violate(
+                        report,
+                        f"wave member {q} was demoted by {item} "
+                        f"(a legitimate wave member must never turn "
+                        f"abnormal)",
+                    )
+                    in_wave.discard(q)
+            return
+        if joiners:
+            # A processor attaching to a stale tree did not receive m;
+            # nothing to record (PIF1 accounting catches it).
+            if in_wave.issuperset(parents):
+                self._join(report, joiners, levels)
+                return
+            joined = [i for i, p in enumerate(parents) if p in in_wave]
+            if joined:
+                self._join(
+                    report,
+                    [joiners[i] for i in joined],
+                    [levels[i] for i in joined],
+                )
+
+    def _join(self, report, nodes, levels) -> None:
+        self._in_wave.update(nodes)
+        report.received.update(nodes)
+        top = max(levels)
+        if top > report.height:
+            report.height = top
+
     def _begin_wave(self, record: StepRecord) -> None:
         report = CycleReport(start_step=record.index)
         report.received.add(self.protocol.root)
@@ -266,14 +392,12 @@ class PifCycleMonitor:
         self._active = report
         self.reports.append(report)
 
-    def _observe_root(
-        self, action: str, record: StepRecord, after: Configuration
-    ) -> None:
+    def _observe_root(self, action: str, record: StepRecord) -> None:
         assert self._active is not None
         report = self._active
         if action == "F-action":
             report.root_feedback_step = record.index
-            expected = set(self.network.nodes) - self.quarantine
+            _, expected, expected_acks = self._full_sets()
             missing = sorted(expected - report.received)
             if missing:
                 self._violate(
@@ -281,7 +405,7 @@ class PifCycleMonitor:
                     f"[PIF1] root fed back but {len(missing)} processor(s) "
                     f"never received m: {missing}",
                 )
-            missing = sorted(expected - {self.protocol.root} - report.acked)
+            missing = sorted(expected_acks - report.acked)
             if missing:
                 self._violate(
                     report,
@@ -307,21 +431,23 @@ class PifCycleMonitor:
         report.end_step = record.index
         report.completed = True
         if not report.violations:
-            full = self._full
-            if full is None or full[0] is not self.network:
-                received = frozenset(self.network.nodes) - self.quarantine
-                full = (
-                    self.network,
-                    received,
-                    received - {self.protocol.root},
-                )
-                self._full = full
+            full = self._full_sets()
             if report.received == full[1] and report.acked == full[2]:
                 report.received = full[1]
                 report.acked = full[2]
         self._completed.append(report)
         self._active = None
         self._in_wave = set()
+
+    def _full_sets(self) -> tuple[Network, frozenset[int], frozenset[int]]:
+        """``(network, every judged node, every judged non-root node)``,
+        rebuilt when the topology changes."""
+        full = self._full
+        if full is None or full[0] is not self.network:
+            received = frozenset(self.network.nodes) - self.quarantine
+            full = (self.network, received, received - {self.protocol.root})
+            self._full = full
+        return full
 
     def _abort_wave(self, record: StepRecord) -> None:
         assert self._active is not None

@@ -376,11 +376,12 @@ class PayloadSnapPif(SnapPif):
         """
         state = configuration[self.constants.root]
         assert isinstance(state, PayloadPifState)
-        if (
-            isinstance(state.ack, TaggedAck)
-            and state.ack.epoch == self.waves_started
-        ):
-            return state.ack.value
+        return self.result_of_ack(state.ack)
+
+    def result_of_ack(self, ack: object) -> object:
+        """:meth:`root_result` given the root's ``ack`` value itself."""
+        if isinstance(ack, TaggedAck) and ack.epoch == self.waves_started:
+            return ack.value
         return NO_ACK
 
     def delivered_messages(self, configuration) -> dict[int, object]:
@@ -389,9 +390,15 @@ class PayloadSnapPif(SnapPif):
         A node that never received a wave (or holds pre-fault garbage)
         reports its raw ``msg`` contents.
         """
-        result: dict[int, object] = {}
-        for node, state in enumerate(configuration):
+        for state in configuration:
             assert isinstance(state, PayloadPifState)
-            msg = state.msg
-            result[node] = msg.value if isinstance(msg, Envelope) else msg
-        return result
+        return self.unwrap_messages(state.msg for state in configuration)
+
+    @staticmethod
+    def unwrap_messages(messages) -> dict[int, object]:
+        """:meth:`delivered_messages` given every node's ``msg`` value,
+        in node order."""
+        return {
+            node: msg.value if isinstance(msg, Envelope) else msg
+            for node, msg in enumerate(messages)
+        }

@@ -201,6 +201,9 @@ def snap_pif_spec(constants: PifConstants) -> ColumnarSpec:
         programs={"root": tuple(root_actions), "node": tuple(node_actions)},
         roles=lambda p: "root" if p == root else "node",
         bulk_role="node",
+        # ``par`` is NbrArgMinFirst over the pre-step Potential_p: the
+        # first minimal-level member in local order, chosen_parent.
+        join_columns=("par", "level"),
     )
 
 

@@ -364,6 +364,9 @@ class SelfStabPif(Protocol):
             programs={"root": root_actions, "node": node_actions},
             roles=lambda p: "root" if p == root else "node",
             bulk_role="node",
+            # ``par`` is the first minimal-level member of the pre-step
+            # Potential_p in local order: join_parent.
+            join_columns=("par", "level"),
         )
 
     # ------------------------------------------------------------------

@@ -28,6 +28,13 @@ of enabled actions, in program order), the per-node *ages* (number of
 consecutive steps each node has been enabled, ``1`` meaning freshly
 enabled) and a seeded RNG, and must return a non-empty ``{node: action}``
 selection.
+
+On the columnar engine's numpy backend the enabled map may arrive as an
+:class:`~repro.runtime.selection.EnabledView` over the kernel's guard
+masks.  :class:`SynchronousDaemon` and :class:`CentralDaemon` with the
+``"first"`` action policy then select on its index array and return an
+:class:`~repro.runtime.selection.ArraySelection`, drawing exactly the
+RNG values their dict path draws (:attr:`Daemon.selects_masks`).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from typing import Mapping, Sequence
 from repro.errors import ReplayError, ScheduleError
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action
+from repro.runtime.selection import EnabledView
 
 __all__ = [
     "Daemon",
@@ -95,6 +103,12 @@ class Daemon(ABC):
     def reset(self) -> None:
         """Clear any internal scheduling state (between runs)."""
 
+    @property
+    def selects_masks(self) -> bool:
+        """Whether :meth:`select` picks from an ``EnabledView``'s index
+        array (returning an ``ArraySelection``) instead of its dict."""
+        return False
+
     def _choose(self, actions: Sequence[Action], rng: Random) -> Action:
         return _pick_action(actions, self.action_policy, rng)
 
@@ -108,6 +122,13 @@ class SynchronousDaemon(Daemon):
 
     name = "synchronous"
 
+    @property
+    def selects_masks(self) -> bool:
+        return (
+            self.action_policy == "first"
+            and type(self).select is SynchronousDaemon.select
+        )
+
     def select(
         self,
         enabled: Mapping[int, Sequence[Action]],
@@ -117,6 +138,8 @@ class SynchronousDaemon(Daemon):
         ages: Mapping[int, int],
         rng: Random,
     ) -> dict[int, Action]:
+        if isinstance(enabled, EnabledView) and self.action_policy == "first":
+            return enabled.first(enabled.nodes)
         return {p: self._choose(actions, rng) for p, actions in enabled.items()}
 
 
@@ -136,6 +159,13 @@ class CentralDaemon(Daemon):
             raise ScheduleError(f"unknown central choice {choice!r}")
         self._choice = choice
 
+    @property
+    def selects_masks(self) -> bool:
+        return (
+            self.action_policy == "first"
+            and type(self).select is CentralDaemon.select
+        )
+
     def select(
         self,
         enabled: Mapping[int, Sequence[Action]],
@@ -145,6 +175,8 @@ class CentralDaemon(Daemon):
         ages: Mapping[int, int],
         rng: Random,
     ) -> dict[int, Action]:
+        if isinstance(enabled, EnabledView) and self.action_policy == "first":
+            return enabled.first(self._pick_index(enabled.nodes, ages, rng))
         nodes = list(enabled)
         if self._choice == "random":
             p = rng.choice(nodes)
@@ -153,6 +185,20 @@ class CentralDaemon(Daemon):
         else:
             p = min(nodes)
         return {p: self._choose(enabled[p], rng)}
+
+    def _pick_index(self, nodes, ages: Mapping[int, int], rng: Random):
+        """The dict path's pick over an ascending index array, as a
+        one-element slice of it (same RNG draws)."""
+        if self._choice == "random":
+            # Random.choice draws _randbelow(len(seq)), as on the list.
+            i = rng.choice(range(len(nodes)))
+        elif self._choice == "oldest":
+            # ``ages`` is the array round store's view; argmax takes the
+            # first maximum, i.e. the smallest id.
+            i = int(ages.array[nodes].argmax())
+        else:
+            i = 0
+        return nodes[i : i + 1]
 
 
 class LocallyCentralDaemon(Daemon):

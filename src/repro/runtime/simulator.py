@@ -11,6 +11,17 @@ The simulator also maintains the round count (see
 :mod:`repro.runtime.rounds`), cumulative move counts, an optional trace,
 and invokes *monitors* — observers such as the PIF-cycle specification
 checker — after every step.
+
+A step takes one of two paths.  The reference path hands dicts and
+object configurations from the daemon through the engine to the
+observers.  The array path (DESIGN.md §11) carries the step as index
+arrays instead: it runs on the columnar engine's numpy backend with a
+compiled kernel and serial stepping, under a daemon whose
+:attr:`~repro.runtime.daemons.Daemon.selects_masks` holds, when every
+monitor has an array feed (``array_feed``).  The simulator picks the
+path from those facts alone, again whenever one of them changes; both
+paths give identical selections, rounds, configurations and monitor
+verdicts.
 """
 
 from __future__ import annotations
@@ -24,8 +35,9 @@ from repro import telemetry as _telemetry
 from repro.errors import ScheduleError, SimulationLimitError, VerificationError
 from repro.runtime.daemons import Daemon, SynchronousDaemon
 from repro.runtime.network import Network
-from repro.runtime.protocol import Action, Protocol
+from repro.runtime.protocol import Action, Context, Protocol
 from repro.runtime.rounds import RoundCounter
+from repro.runtime.selection import ArraySelection, EnabledView
 from repro.runtime.state import Configuration, NodeState
 from repro.runtime.trace import StepRecord, Trace
 
@@ -48,11 +60,18 @@ class Monitor(TypingProtocol):
 
     def on_step(
         self,
-        before: Configuration,
+        before: Configuration | None,
         record: StepRecord,
-        after: Configuration,
+        after: Configuration | None,
     ) -> None:
-        """Called after every computation step."""
+        """Called after every computation step.
+
+        A monitor may also define ``array_feed(protocol, network,
+        spec) -> bool``; when it returns true for the simulated
+        protocol's compiled spec, array steps call this with ``before``
+        and ``after`` set to ``None`` and the step's action groups in
+        ``record.columns``.
+        """
 
 
 @dataclass
@@ -110,8 +129,12 @@ class Simulator:
         Under the columnar engine object configurations are
         materialized lazily: :attr:`configuration` always works, but
         :class:`~repro.runtime.trace.StepRecord.after` is ``None``
-        unless something needs the object view (monitors attached,
-        ``trace_level="configurations"``, or lockstep validation).
+        unless something may need the object view (monitors attached,
+        ``trace_level="configurations"``, or lockstep validation).  On
+        array steps ``after``, the ``until`` argument of :meth:`run` and
+        :attr:`RunResult.final` are decoded only when read; one still
+        referenced at the next write is decoded first, so it keeps
+        showing its own step.
     validate_engine:
         When true, every incremental/columnar update is checked in
         lockstep against a from-scratch recompute on the object path —
@@ -171,6 +194,13 @@ class Simulator:
         self._moves = 0
         self._action_counts: dict[str, int] = {}
         self._monitors = list(monitors)
+        #: The compiled numpy kernel when steps may run on index arrays
+        #: (set by ``_choose_path``), and whether they do.
+        self._kernel_arrays = None
+        self._array_path = False
+        #: Crashed or suppressed processors as a flag array (array
+        #: steps only; ``None`` when there are none).
+        self._excluded_flags = None
         #: Crashed processors: excluded from daemon selection and round
         #: accounting, but their memory stays readable by neighbors (the
         #: locally-shared-memory analogue of a fail-stop crash).
@@ -206,7 +236,21 @@ class Simulator:
             self._enabled = protocol.enabled_map(
                 config, network, cache=self._eval_cache
             )
-        self._rounds = RoundCounter(self._enabled)
+        array_rounds = (
+            self._columnar is not None
+            and self._columnar.array_kernel is not None
+        )
+        self._rounds = RoundCounter(
+            self._enabled, size=network.n if array_rounds else None
+        )
+        #: The dict-store round counter array-store rounds are checked
+        #: against under lockstep validation.
+        self._shadow_rounds = (
+            RoundCounter(self._enabled)
+            if array_rounds and validate_engine
+            else None
+        )
+        self._choose_path()
         for monitor in self._monitors:
             monitor.on_start(config)
 
@@ -263,6 +307,17 @@ class Simulator:
         """Processors currently guard-suppressed (see :meth:`suppress`)."""
         return frozenset(self._suppressed)
 
+    def payload_column(self, name: str) -> list | None:
+        """Every processor's current value of payload field ``name``.
+
+        Read from the columnar engine's payload column without decoding
+        a configuration; ``None`` on the object engines or when the
+        compiled schema has no such field.
+        """
+        if self._columnar is None:
+            return None
+        return self._columnar.payload(name)
+
     def is_terminal(self) -> bool:
         """True if no action is enabled (the computation is maximal)."""
         return not self._enabled
@@ -277,19 +332,66 @@ class Simulator:
 
     def _selectable(self) -> dict[int, list[Action]]:
         """The enabled map minus crashed/suppressed processors."""
+        enabled = self._enabled
+        if isinstance(enabled, EnabledView):
+            enabled = enabled.as_dict()
         if not self._crashed and not self._suppressed:
-            return self._enabled
+            return enabled
         excluded = self._crashed | self._suppressed
         return {
-            p: actions
-            for p, actions in self._enabled.items()
-            if p not in excluded
+            p: actions for p, actions in enabled.items() if p not in excluded
         }
 
     def add_monitor(self, monitor: Monitor) -> None:
         """Attach a monitor; it sees the current configuration as start."""
         monitor.on_start(self.configuration)
         self._monitors.append(monitor)
+        self._choose_path()
+
+    def _choose_path(self) -> None:
+        """Decide whether steps run on index arrays (module docstring)."""
+        kernel = (
+            self._columnar.array_kernel if self._columnar is not None else None
+        )
+        self._kernel_arrays = kernel
+        self._array_path = (
+            kernel is not None
+            and self.daemon.selects_masks
+            and all(
+                getattr(m, "array_feed", None) is not None
+                and m.array_feed(self.protocol, self.network, kernel.spec)
+                for m in self._monitors
+            )
+        )
+        self._set_excluded_flags()
+
+    def _set_excluded_flags(self) -> None:
+        excluded = self._crashed | self._suppressed
+        if self._kernel_arrays is None or not excluded:
+            self._excluded_flags = None
+            return
+        import numpy as np
+
+        flags = np.zeros(self.network.n, dtype=bool)
+        flags[sorted(excluded)] = True
+        self._excluded_flags = flags
+
+    def _restart_rounds(self) -> None:
+        enabled = frozenset(self._enabled)
+        self._rounds.restart(enabled)
+        if self._shadow_rounds is not None:
+            self._shadow_rounds.restart(enabled)
+            self._check_rounds()
+
+    def _exclusion_changed(self) -> None:
+        """Crash/recover/suppress/release: update round accounting."""
+        excluded = frozenset(self._crashed | self._suppressed)
+        enabled = frozenset(self._enabled)
+        self._rounds.set_excluded(excluded, enabled)
+        if self._shadow_rounds is not None:
+            self._shadow_rounds.set_excluded(excluded, enabled)
+            self._check_rounds()
+        self._set_excluded_flags()
 
     def reset_configuration(self, configuration: Configuration) -> None:
         """Replace the current configuration in place — a transient fault.
@@ -320,7 +422,7 @@ class Simulator:
             self._enabled = self.protocol.enabled_map(
                 configuration, self.network, cache=self._eval_cache
             )
-        self._rounds.restart(frozenset(self._enabled))
+        self._restart_rounds()
         for monitor in self._monitors:
             monitor.on_start(configuration)
         self._mark_fault("corrupt", "configuration replaced")
@@ -367,7 +469,7 @@ class Simulator:
             after = current.replace(effective)
             self._configuration = after
             self._refresh_enabled(set(effective))
-        self._rounds.restart(frozenset(self._enabled))
+        self._restart_rounds()
         for monitor in self._monitors:
             monitor.on_start(after)
         self._mark_fault("corrupt", f"nodes {sorted(effective)}")
@@ -391,10 +493,7 @@ class Simulator:
         if not newly:
             return frozenset()
         self._crashed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusion_changed()
         self._mark_fault("crash", f"nodes {sorted(newly)}")
         return newly
 
@@ -412,10 +511,7 @@ class Simulator:
         if not back:
             return frozenset()
         self._crashed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusion_changed()
         self._mark_fault("recover", f"nodes {sorted(back)}")
         return back
 
@@ -442,10 +538,7 @@ class Simulator:
         if not newly:
             return frozenset()
         self._suppressed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusion_changed()
         self._mark_fault("suppress", f"nodes {sorted(newly)}")
         return newly
 
@@ -461,10 +554,7 @@ class Simulator:
         if not back:
             return frozenset()
         self._suppressed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusion_changed()
         self._mark_fault("release", f"nodes {sorted(back)}")
         return back
 
@@ -505,18 +595,19 @@ class Simulator:
             if self.validate_engine:
                 self._check_against_full(dirty)
             if dirty:
-                self._rounds.restart(frozenset(self._enabled))
+                self._restart_rounds()
         else:
             if updates:
                 self._configuration = current.replace(updates)
             if dirty:
                 self._refresh_enabled(dirty)
-                self._rounds.restart(frozenset(self._enabled))
+                self._restart_rounds()
         for monitor in self._monitors:
             on_network = getattr(monitor, "on_network", None)
             if on_network is not None:
                 on_network(network)
             monitor.on_start(self.configuration)
+        self._choose_path()
         self._mark_fault(
             "topology",
             f"{old_name} -> {network.name} (dirty {sorted(dirty)})",
@@ -527,6 +618,7 @@ class Simulator:
         """Replace the scheduler mid-run (the adversary changes strategy)."""
         self.daemon = daemon
         daemon.reset()
+        self._choose_path()
         self._mark_fault("swap-daemon", daemon.name)
 
     def _refresh_enabled(self, dirty: set[int]) -> None:
@@ -559,6 +651,8 @@ class Simulator:
         run is *stalled* — actions are enabled but every enabled
         processor is crashed (check :meth:`is_stalled` to distinguish).
         """
+        if self._array_path:
+            return self._step_arrays()
         selectable = self._selectable()
         if not selectable:
             return None
@@ -621,9 +715,12 @@ class Simulator:
                 self._enabled = self.protocol.enabled_map(
                     after, self.network, cache=self._eval_cache
                 )
-        rounds_completed = self._rounds.observe_step(
-            set(selection), frozenset(self._enabled)
-        )
+        executed = set(selection)
+        enabled_after = frozenset(self._enabled)
+        rounds_completed = self._rounds.observe_step(executed, enabled_after)
+        if self._shadow_rounds is not None:
+            self._shadow_rounds.observe_step(executed, enabled_after)
+            self._check_rounds()
 
         self._steps += 1
         self._moves += len(selection)
@@ -652,6 +749,107 @@ class Simulator:
             monitor.on_step(before, record, after)
         return record
 
+    def _selectable_nodes(self):
+        """Ascending index array of the selectable processors (array
+        steps; the enabled map is an :class:`EnabledView` or a dict)."""
+        enabled = self._enabled
+        if isinstance(enabled, EnabledView):
+            nodes = enabled.nodes
+        else:
+            nodes = self._kernel_arrays.enabled_nodes()
+        flags = self._excluded_flags
+        if flags is not None and len(nodes):
+            nodes = nodes[~flags[nodes]]
+        return nodes
+
+    def _step_arrays(self) -> StepRecord | None:
+        """:meth:`step` on index arrays (module docstring, DESIGN.md §11)."""
+        kernel = self._kernel_arrays
+        nodes = self._selectable_nodes()
+        if not len(nodes):
+            return None
+        validate = self.validate_engine
+        if validate:
+            rng_state = self.rng.getstate()
+        selection = self.daemon.select(
+            EnabledView(kernel, nodes),
+            network=self.network,
+            step=self._steps,
+            ages=self._rounds.ages,
+            rng=self.rng,
+        )
+        if not len(selection):
+            raise ScheduleError("daemon returned an empty selection")
+        if validate:
+            self._check_array_selection(selection, rng_state)
+            before = self._columnar.configuration()
+            dirty: set[int] | None = set()
+        else:
+            dirty = None
+        written = self._columnar.execute_selection(selection, dirty)
+        if written:
+            self._enabled = EnabledView(kernel, kernel.enabled_nodes())
+            if validate:
+                self._check_against_full(dirty)
+        if validate:
+            if self._columnar.validates_successor:
+                self._check_columnar_successor(
+                    before, selection, self._columnar.configuration(), dirty
+                )
+            self._check_join_columns(before, selection)
+
+        import numpy as np
+
+        groups = selection.groups
+        executed = (
+            np.asarray(groups[0].idx, dtype=np.int64)
+            if len(groups) == 1
+            else np.concatenate(
+                [np.asarray(g.idx, dtype=np.int64) for g in groups]
+            )
+        )
+        rounds_completed = self._rounds.observe_step(
+            executed, kernel.enabled_flags()
+        )
+        if self._shadow_rounds is not None:
+            self._shadow_rounds.observe_step(
+                set(executed.tolist()), frozenset(self._enabled)
+            )
+            self._check_rounds()
+
+        self._steps += 1
+        self._moves += len(selection)
+        counts = self._action_counts
+        for group in groups:
+            counts[group.name] = counts.get(group.name, 0) + len(group)
+
+        if _telemetry.enabled:
+            reg = _telemetry.registry
+            reg.inc("sim.steps")
+            reg.inc("sim.moves", len(selection))
+            reg.inc("sim.rounds", rounds_completed)
+            reg.observe("sim.selection_size", len(selection))
+            reg.observe("sim.enabled_set_size", len(self._enabled))
+            reg.observe("sim.dirty_set_size", written)
+
+        record = StepRecord(
+            index=self._steps - 1,
+            selection=selection.names(),
+            rounds_completed=rounds_completed,
+            after=(
+                self._columnar.snapshot()
+                if self._monitors
+                or self.trace.level == "configurations"
+                or validate
+                else None
+            ),
+            columns=selection,
+        )
+        self.trace.append(record)
+        for monitor in self._monitors:
+            monitor.on_step(None, record, None)
+        return record
+
     def run(
         self,
         *,
@@ -669,10 +867,10 @@ class Simulator:
         satisfied = False
         terminated = False
         while True:
-            if until is not None and until(self.configuration):
+            if until is not None and until(self._snapshot()):
                 satisfied = True
                 break
-            if not self._selectable():
+            if not self._can_step():
                 # Terminal, or stalled with every enabled processor
                 # crashed — either way the run cannot advance by itself.
                 terminated = not self._enabled
@@ -689,7 +887,7 @@ class Simulator:
             self.step()
 
         return RunResult(
-            final=self.configuration,
+            final=self._snapshot(),
             steps=self._steps,
             rounds=self.rounds,
             moves=self._moves,
@@ -702,6 +900,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _snapshot(self) -> Configuration:
+        """The current configuration, decoded when read (columnar)."""
+        if self._columnar is not None:
+            return self._columnar.snapshot()
+        return self._configuration
+
+    def _can_step(self) -> bool:
+        """Some enabled processor is neither crashed nor suppressed."""
+        if isinstance(self._enabled, EnabledView):
+            return bool(len(self._selectable_nodes()))
+        return bool(self._selectable())
+
     def _validate_selection(
         self,
         selection: dict[int, Action],
@@ -737,6 +947,81 @@ class Simulator:
                 f"at step {self._steps} (dirty={sorted(dirty)}): "
                 f"{self.engine}={ {p: [a.name for a in v] for p, v in self._enabled.items()} } "
                 f"full={ {p: [a.name for a in v] for p, v in full.items()} }"
+            )
+
+    def _check_array_selection(
+        self, selection: ArraySelection, rng_state: object
+    ) -> None:
+        """Lockstep-check a mask-array selection against the daemon's
+        dict path on the same enabled map, ages and RNG state."""
+        selectable = {p: list(a) for p, a in self._selectable().items()}
+        self._validate_selection(selection, selectable)
+        rng = Random()
+        rng.setstate(rng_state)
+        ages = (
+            self._shadow_rounds.ages
+            if self._shadow_rounds is not None
+            else self._rounds.ages
+        )
+        expect = self.daemon.select(
+            selectable,
+            network=self.network,
+            step=self._steps,
+            ages=dict(ages),
+            rng=rng,
+        )
+        if list(expect.items()) != list(selection.items()):
+            raise VerificationError(
+                f"array selection diverged from the daemon's dict path at "
+                f"step {self._steps}: "
+                f"{ {p: a.name for p, a in selection.items()} } vs "
+                f"{ {p: a.name for p, a in expect.items()} }"
+            )
+        if rng.getstate() != self.rng.getstate():
+            raise VerificationError(
+                f"array selection drew different RNG values than the "
+                f"daemon's dict path at step {self._steps}"
+            )
+
+    def _check_join_columns(
+        self, before: Configuration, selection: ArraySelection
+    ) -> None:
+        """Lockstep-check ``ColumnarSpec.join_columns``: every B-action
+        writes the parent ``join_parent`` picks on ``before``."""
+        columns = selection.join_columns
+        if columns is None:
+            return
+        parent = columns[0]
+        kernel = self._kernel_arrays
+        join_parent = getattr(self.protocol, "join_parent", None)
+        for group in selection.groups:
+            if group.name != "B-action" or not kernel.writes(
+                group.role, group.name, parent
+            ):
+                continue
+            for q, value in zip(group.nodes(), group.values(parent)):
+                expect = join_parent(Context(q, self.network, before))
+                got = None if value < 0 else value
+                if got != expect:
+                    raise VerificationError(
+                        f"node {q}'s B-action wrote {parent}={got} at step "
+                        f"{self._steps}, but join_parent picks {expect}"
+                    )
+
+    def _check_rounds(self) -> None:
+        """Lockstep-check array-store rounds against the dict store."""
+        got, want = self._rounds, self._shadow_rounds
+        if (
+            got.completed_rounds != want.completed_rounds
+            or got.pending != want.pending
+            or dict(got.ages) != dict(want.ages)
+        ):
+            raise VerificationError(
+                f"array round state diverged from the dict round counter "
+                f"at step {self._steps}: rounds {got.completed_rounds} vs "
+                f"{want.completed_rounds}, pending {sorted(got.pending)} vs "
+                f"{sorted(want.pending)}, ages {dict(got.ages)} vs "
+                f"{dict(want.ages)}"
             )
 
     def _check_columnar_successor(

@@ -9,11 +9,11 @@ configurations, and so traces can be compared structurally in tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.errors import ProtocolError
 
-__all__ = ["NodeState", "Configuration", "InternTable"]
+__all__ = ["NodeState", "Configuration", "LazyConfiguration", "InternTable"]
 
 
 class NodeState:
@@ -104,6 +104,56 @@ class Configuration:
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}:{s!r}" for i, s in enumerate(self._states))
         return f"Configuration({inner})"
+
+
+class LazyConfiguration(Configuration):
+    """A configuration whose states are built on first read.
+
+    ``source`` returns the states (any sequence) when first needed;
+    until then the object holds nothing but ``source``.  The columnar
+    engine hands these out as snapshots and resolves a live one before
+    its next write (:meth:`repro.columnar.block.ColumnBlock.snapshot`),
+    so a snapshot always shows the configuration of the step it was
+    taken at.  Every :class:`Configuration` method works unchanged: the
+    unset ``_states`` slot falls through to :meth:`__getattr__`, which
+    resolves, and later reads take the plain slot.
+    """
+
+    __slots__ = ("_source", "__weakref__")
+
+    def __init__(self, source: Callable[[], Sequence[NodeState]]) -> None:
+        self._hash = None
+        self._source: Callable[[], Sequence[NodeState]] | None = source
+
+    @property
+    def resolved(self) -> bool:
+        """Whether the states have been built."""
+        return self._source is None
+
+    def resolve(self, states: Sequence[NodeState] | None = None) -> None:
+        """Build the states now: ``states`` when given, else ``source()``.
+
+        ``source`` may itself resolve this object with explicit states
+        (the column block does, to adopt it as its cached view).
+        """
+        if self._source is None:
+            return
+        if states is None:
+            states = self._source()
+            if self._source is None:
+                return
+        self._source = None
+        self._states = tuple(states)
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "_states" and self._source is not None:
+            self.resolve()
+            return self._states
+        raise AttributeError(name)
+
+    def __reduce__(self):
+        # Pickles and copies as the plain configuration it stands for.
+        return (Configuration, (self.states,))
 
 
 class InternTable:

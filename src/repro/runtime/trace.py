@@ -33,12 +33,20 @@ class StepRecord:
     executed.  ``rounds_completed`` is how many rounds ended with this
     step (0 or 1).  ``after`` is the post-step configuration when the
     trace level retains configurations, else ``None``.
+
+    On an array step of the columnar engine (DESIGN.md §11) the
+    selection is a mapping built on first read, ``after`` a
+    configuration decoded on first read, and ``columns`` the
+    :class:`~repro.runtime.selection.ArraySelection` the step ran —
+    until the next step its groups read the values they wrote.
+    ``columns`` is ``None`` on every other step.
     """
 
     index: int
     selection: Mapping[int, str]
     rounds_completed: int
     after: Configuration | None = None
+    columns: object = field(default=None, compare=False, repr=False)
 
     @property
     def moves(self) -> int:
